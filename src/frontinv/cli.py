@@ -138,20 +138,24 @@ def _verify_front(word: FrontWord, flags, timings: bool) -> dict:
     inv = invariants(_oriented(word, flags))
     R = ruling_polynomial(word)
     B_leg = evaluate_B(word)
-    B_topo = B_of(word)
+    # One skein tree per polynomial: the report's B and Q are [a^(c-1)] of D
+    # and of H under the default orientation.
+    rep = sharpness(orient(word))
     record: dict = {
         "beta": inv.beta,
         "R": render_poly1(R),
         "B_leg": render_poly1(B_leg),
-        "B_topo": render_poly1(B_topo),
-        "agree_3_1": R == B_leg == B_topo,
+        "B_topo": render_poly1(rep.B),
+        "agree_3_1": R == B_leg == rep.B,
+        "kauffman_sharp": rep.kauffman_sharp,
+        "homfly_sharp": rep.homfly_sharp,
     }
-    oriented_records = []
-    agree_4_1 = True
     if components(word).n_components <= 2:
+        oriented_records = []
+        agree_4_1 = True
         for of in all_orientations(word):
             OR = oriented_ruling_polynomial(of)
-            Q = Q_of(of)
+            Q = rep.Q if all(of.choices) else Q_of(of)
             agree_4_1 = agree_4_1 and OR == Q
             oriented_records.append(
                 {
@@ -162,9 +166,6 @@ def _verify_front(word: FrontWord, flags, timings: bool) -> dict:
             )
         record["oriented"] = oriented_records
         record["agree_4_1"] = agree_4_1
-    rep = sharpness(orient(word))
-    record["kauffman_sharp"] = rep.kauffman_sharp
-    record["homfly_sharp"] = rep.homfly_sharp
     if timings:
         record["ms"] = round(1000 * (time.perf_counter() - t0), 1)
     return record
@@ -304,6 +305,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FrontError as exc:
         sys.stderr.write(f"error [{exc.code}]: {exc}\n")
+        return 2
+    except OSError as exc:
+        sys.stderr.write(f"error [IO_ERROR]: {exc}\n")
         return 2
 
 

@@ -105,10 +105,6 @@ def from_oriented_front(of: OrientedFront) -> PlanarDiagram:
     return PlanarDiagram(n, (True,) * n, conn, frozenset(flow_in), free_loops)
 
 
-def to_planar_diagram(of: OrientedFront) -> PlanarDiagram:
-    return from_oriented_front(of)
-
-
 def crossing_sign(d: PlanarDiagram, c: int) -> int:
     """Writhe sign of an oriented crossing."""
     q = d.view(c)
@@ -240,6 +236,8 @@ def pd_import(text: str) -> PlanarDiagram:
             free_loops += 1
             continue
         raise ParseError("UNKNOWN_TOKEN", f"bad PD line {s!r}", line=lineno, col=1)
+    if not crossings and not free_loops:
+        raise ParseError("NOT_CLOSED", "empty PD code")
 
     ends: dict[int, list[Port]] = {}
     for c, labels in enumerate(crossings):

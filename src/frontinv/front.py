@@ -187,7 +187,14 @@ def parse_front_file(text: str) -> tuple[FrontWord, dict[int, bool]]:
             token_lines.append("")
         else:
             token_lines.append(line)
-    return parse_front("\n".join(token_lines)), flags
+    word = parse_front("\n".join(token_lines))
+    n = components(word).n_components
+    for comp in flags:
+        if not 1 <= comp <= n:
+            raise ParseError(
+                "INDEX_OUT_OF_RANGE", f"orient entry for component {comp}; the front has {n}"
+            )
+    return word, flags
 
 
 # ---------------------------------------------------------------------------

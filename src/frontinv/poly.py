@@ -231,16 +231,6 @@ class LaurentPoly2:
         return render_poly2(self)
 
 
-def poly_add(p: LaurentPoly2, q: LaurentPoly2) -> LaurentPoly2:
-    """Termwise sum; zero terms are dropped."""
-    return p + q
-
-
-def poly_mul(p: LaurentPoly2, q: LaurentPoly2) -> LaurentPoly2:
-    """Distributive product; exponents add componentwise."""
-    return p * q
-
-
 def coeff_a(p: LaurentPoly2, n: int) -> LaurentPoly1:
     """The z-polynomial multiplying a**n in ``p``."""
     return LaurentPoly1({z: c for (z, a), c in p.terms.items() if a == n})
@@ -251,11 +241,6 @@ def deg_a(p: LaurentPoly2):
     if p.is_zero():
         return NEG_INFINITY
     return max(a for (_, a) in p.terms)
-
-
-def a_support(p: LaurentPoly2) -> list[int]:
-    """Sorted list of a-exponents appearing in ``p``."""
-    return sorted({a for (_, a) in p.terms})
 
 
 # ---------------------------------------------------------------------------

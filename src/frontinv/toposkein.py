@@ -37,13 +37,7 @@ from .diagram import (
 )
 from .errors import InternalInconsistency
 from .front import FrontWord, OrientedFront, invariants, orient
-from .poly import (
-    NEG_INFINITY,
-    LaurentPoly1,
-    LaurentPoly2,
-    coeff_a,
-    deg_a,
-)
+from .poly import LaurentPoly1, LaurentPoly2, coeff_a, deg_a
 
 _A = LaurentPoly2.monomial
 _DELTA_H = _A(-1, 1) - _A(-1, -1)          # (a - a^-1) / z
@@ -270,23 +264,10 @@ def homfly_P(of: FrontWord | OrientedFront, **kw) -> LaurentPoly2:
 
 
 def B_of(front: FrontWord | OrientedFront, **kw) -> LaurentPoly1:
-    """Coefficient of a**(c-1) in D(Top(K)).
-
-    Computed twice (directly, and as the a**-1 coefficient of a**beta F) and
-    cross-checked; the two must agree for any correct evaluator.
-    """
+    """Coefficient of a**(c-1) in D(Top(K))."""
     of = _as_oriented(front)
     inv = invariants(of)
-    d = from_oriented_front(of)
-    D = kauffman_D(d, **kw)
-    direct = coeff_a(D, inv.c - 1)
-    F = D.shift(0, -inv.w)
-    via_bennequin = coeff_a(F.shift(0, inv.beta), -1)
-    if direct != via_bennequin:
-        raise InternalInconsistency(
-            "the two routes to the distinguished Kauffman coefficient disagree"
-        )
-    return direct
+    return coeff_a(kauffman_D(from_oriented_front(of), **kw), inv.c - 1)
 
 
 def Q_of(of: FrontWord | OrientedFront, **kw) -> LaurentPoly1:
@@ -311,28 +292,29 @@ class SharpnessReport:
 def sharpness(front: FrontWord | OrientedFront, **kw) -> SharpnessReport:
     """Sharpness of the two Bennequin bounds, each checked independently.
 
-    The Kauffman sharpness flag is computed three ways (B nonzero, a-degree
-    of D hitting c-1, and beta hitting -deg_a(F)-1); disagreement raises
-    InternalInconsistency.  ``homfly_bound_strengthened`` reports the cases
-    where deg_a P exceeds deg_a F, in which beta < -deg_a(P) - 1.
+    Each sharpness flag is computed two ways (the distinguished coefficient
+    nonzero, and the a-degree of the polynomial hitting c-1); disagreement
+    raises InternalInconsistency, as does a writhe of Top(K) that differs
+    from the front's.  Given equal writhes, beta = -deg_a(F) - 1 is the
+    second Kauffman test restated.  ``homfly_bound_strengthened`` reports
+    the cases where deg_a P exceeds deg_a F, in which beta < -deg_a(P) - 1.
     """
     of = _as_oriented(front)
     inv = invariants(of)
     d = from_oriented_front(of)
+    w = writhe(d)
+    if w != inv.w:
+        raise InternalInconsistency(f"writhe of Top(K) is {w}, the front's is {inv.w}")
     D = kauffman_D(d, **kw)
     H = homfly_H(d, **kw)
-    w = writhe(d)
-    F = D.shift(0, -w)
-    P = H.shift(0, -w)
     B = coeff_a(D, inv.c - 1)
     Q = coeff_a(H, inv.c - 1)
 
     k1 = not B.is_zero()
     k2 = deg_a(D) == inv.c - 1
-    k3 = (not F.is_zero()) and inv.beta == -deg_a(F) - 1
-    if not k1 == k2 == k3:
+    if k1 != k2:
         raise InternalInconsistency(
-            f"Kauffman sharpness computations disagree: {k1}, {k2}, {k3}"
+            f"Kauffman sharpness computations disagree: {k1}, {k2}"
         )
     h1 = not Q.is_zero()
     h2 = deg_a(H) == inv.c - 1
@@ -340,5 +322,6 @@ def sharpness(front: FrontWord | OrientedFront, **kw) -> SharpnessReport:
         raise InternalInconsistency(
             f"HOMFLY sharpness computations disagree: {h1}, {h2}"
         )
-    strengthened = deg_a(P) > deg_a(F) if not P.is_zero() else False
+    # P and F share the factor a**-w, so their a-degrees compare as H and D's.
+    strengthened = deg_a(H) > deg_a(D) if not H.is_zero() else False
     return SharpnessReport(inv.beta, deg_a(D), deg_a(H), k1, h1, B, Q, strengthened)

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, corpus_words
 
+from frontinv import toposkein
 from frontinv.cli import main
+from frontinv.front import components
 
 
 def run_cli(capsys, *args) -> tuple[int, str, str]:
@@ -28,6 +30,13 @@ def test_validate_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "validate", str(bad))
     assert code == 2
     assert "UNKNOWN_TOKEN" in err
+
+
+def test_missing_input_file(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "validate", str(tmp_path / "missing.front"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [IO_ERROR]: ") and err.count("\n") == 1
 
 
 def test_invariants(capsys):
@@ -100,6 +109,26 @@ def test_verify_oriented(capsys):
 def test_verify_corollaries(capsys):
     code, out, _ = run_cli(capsys, "verify", str(CORPUS), "--theorem", "corollaries")
     assert code == 0
+
+
+def test_verify_evaluates_each_polynomial_once(capsys, monkeypatch):
+    calls = {"D": 0, "H": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(toposkein, "kauffman_D", counting("D", toposkein.kauffman_D))
+    monkeypatch.setattr(toposkein, "homfly_H", counting("H", toposkein.homfly_H))
+    code, _, _ = run_cli(capsys, "verify", str(CORPUS))
+    assert code == 0
+    counts = [components(word).n_components for _, word in corpus_words()]
+    # one D per front; one H per orientation checked (2^k for k <= 2), else
+    # the single H that the sharpness report needs
+    assert calls["D"] == len(counts)
+    assert calls["H"] == sum(2 ** k if k <= 2 else 1 for k in counts)
 
 
 def test_verify_deterministic(capsys):

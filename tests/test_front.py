@@ -79,6 +79,12 @@ def test_parse_front_file_header_and_comments():
     assert flags == {1: True, 2: False}
 
 
+def test_parse_front_file_orient_unknown_component():
+    with pytest.raises(ParseError) as exc:
+        parse_front_file("orient: 7=-\nl1 r1\n")
+    assert exc.value.code == "INDEX_OUT_OF_RANGE"
+
+
 def test_render_round_trip():
     for w in random_fronts(seed=5, count=40):
         assert parse_front(w.render()) == w

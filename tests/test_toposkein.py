@@ -7,6 +7,7 @@ import pytest
 from conftest import corpus_words, random_fronts
 
 from frontinv.diagram import from_oriented_front, pd_export, pd_import, writhe
+from frontinv.errors import ParseError
 from frontinv.front import (
     all_orientations,
     applicable_moves,
@@ -290,3 +291,10 @@ def test_pd_export_format():
     assert text.splitlines() == ["X[1,1,2,2]"] or "X[" in text
     d = top("l1 r1")
     assert pd_export(d) == "O1\n"
+
+
+def test_pd_import_empty():
+    for text in ("", "\n# only a comment\n"):
+        with pytest.raises(ParseError) as exc:
+            pd_import(text)
+        assert exc.value.code == "NOT_CLOSED"
