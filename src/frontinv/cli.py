@@ -50,10 +50,10 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _check_cap(word: FrontWord, force: bool) -> None:
-    if word.num_crossings > CROSSING_CAP and not force:
+def _check_cap(n_crossings: int, force: bool) -> None:
+    if n_crossings > CROSSING_CAP and not force:
         raise FrontError(
-            f"front has {word.num_crossings} crossings (cap {CROSSING_CAP}); rerun with --force"
+            f"input has {n_crossings} crossings (cap {CROSSING_CAP}); rerun with --force"
         )
 
 
@@ -81,15 +81,17 @@ def cmd_invariants(args) -> int:
 def cmd_rulings(args) -> int:
     word, flags = _load_front(args.path)
     of = _oriented(word, flags)
-    rulings = enumerate_rulings(word, oriented=args.oriented, oriented_front=of if args.oriented else None)
     poly = (
         oriented_ruling_polynomial(of) if args.oriented else ruling_polynomial(word)
     )
     out = {
-        "count": len(rulings),
+        "count": sum(poly.terms.values()),
         "polynomial": render_poly1(poly),
     }
     if args.list:
+        rulings = enumerate_rulings(
+            word, oriented=args.oriented, oriented_front=of if args.oriented else None
+        )
         out["rulings"] = sorted([list(r.switches) for r in rulings])
     _emit(out)
     return 0
@@ -98,6 +100,7 @@ def cmd_rulings(args) -> int:
 def cmd_poly(args) -> int:
     if args.path.endswith(".pd"):
         d = pd_import(Path(args.path).read_text())
+        _check_cap(d.n_crossings, args.force)
         if args.which == "kauffman":
             _emit({"kauffman": render_poly2(kauffman_D(d))})
             return 0
@@ -106,7 +109,7 @@ def cmd_poly(args) -> int:
             return 0
         raise FrontError(f"--which {args.which} needs a .front input")
     word, flags = _load_front(args.path)
-    _check_cap(word, args.force)
+    _check_cap(word.num_crossings, args.force)
     of = _oriented(word, flags)
     if args.which == "ruling":
         out = render_poly1(ruling_polynomial(word))
@@ -181,7 +184,7 @@ def cmd_verify(args) -> int:
     sharp_pairs = []
     for path in paths:
         word, flags = parse_front_file(path.read_text())
-        _check_cap(word, args.force)
+        _check_cap(word.num_crossings, args.force)
         record = _verify_front(word, flags, args.timings)
         front_ok = True
         if args.theorem in ("3.1", "corollaries"):

@@ -1,16 +1,21 @@
 """Planar diagrams of topological links, built from fronts by smoothing cusps.
 
-A diagram is a set of 4-valent crossings with counterclockwise port order
-plus oriented arcs.  Ports are pairs ``(crossing, i)`` with ``i`` in 0..3;
-when ``under02[c]`` is true the under-strand runs through ports 0 and 2,
-otherwise through 1 and 3 (the flag flips when a crossing is switched, so
-arcs and traversal order stay stable).  ``flow_in`` lists the ports where an
-arc enters its crossing.  Crossingless closed components are counted in
-``free_loops``.
+A diagram is a set of 4-valent crossings joined by arcs.  Ports are integers:
+port ``4*c + i`` is port ``i`` (0..3, counterclockwise) of crossing ``c``, so
+``p // 4`` is its crossing, ``p % 4`` its place there, and ``p ^ 2`` the port
+across the crossing on the same strand.  When ``under02[c]`` is true the
+under-strand runs through ports 0 and 2, otherwise through 1 and 3 (the flag
+flips when a crossing is switched, so arcs and traversal order stay stable).
+``flow_in`` lists the ports where an arc enters its crossing.  Crossingless
+closed components are counted in ``free_loops``.
 
 Front crossings smooth to the convention that the strand entering from the
 upper left exits lower right and is the overstrand: port 0 = lower left,
 1 = lower right, 2 = upper right, 3 = upper left, which is counterclockwise.
+
+Every function that builds or rewires a diagram's ports lives in this module;
+the skein evaluators in ``toposkein`` only read diagrams and call the surgery
+below.
 """
 
 from __future__ import annotations
@@ -21,29 +26,31 @@ from dataclasses import dataclass
 from .errors import ParseError
 from .front import RIGHT, OrientedFront, occupancy
 
-Port = tuple[int, int]
-
 
 @dataclass(frozen=True)
 class PlanarDiagram:
-    n_crossings: int
+    """An immutable, hashable diagram; equal diagrams are equal memo keys.
+
+    ``nbr[p]`` is the port that an arc joins to port ``p`` (so ``nbr`` is an
+    involution on ``range(4 * n_crossings)`` without fixed points).  An empty
+    ``flow_in`` is a diagram whose orientation is ignored.
+    """
+
+    nbr: tuple[int, ...]
     under02: tuple[bool, ...]
-    conn: dict[Port, Port]
-    flow_in: frozenset[Port]
+    flow_in: frozenset[int]
     free_loops: int = 0
 
+    @property
+    def n_crossings(self) -> int:
+        return len(self.under02)
+
     def view(self, c: int) -> tuple[int, ...]:
-        """Actual port indices in canonical order (under-strand at 0 and 2)."""
+        """Places of crossing ``c`` in canonical order (under-strand at 0 and 2)."""
         return (0, 1, 2, 3) if self.under02[c] else (1, 2, 3, 0)
 
-    def is_under_port(self, port: Port) -> bool:
-        c, i = port
-        return (i % 2 == 0) == self.under02[c]
-
-    def through(self, port: Port) -> Port:
-        """The opposite port of the strand passing through the crossing."""
-        c, i = port
-        return (c, (i + 2) % 4)
+    def is_under_port(self, p: int) -> bool:
+        return (p % 2 == 0) == self.under02[p // 4]
 
 
 def from_oriented_front(of: OrientedFront) -> PlanarDiagram:
@@ -51,11 +58,11 @@ def from_oriented_front(of: OrientedFront) -> PlanarDiagram:
     word = of.word
     occ = occupancy(word)
     other_end: dict[int, int] = {}
-    pinned: dict[int, Port] = {}
+    pinned: dict[int, int] = {}
     open_ends: list[int] = []
     free_loops = 0
     next_tok = 0
-    flow_in: set[Port] = set()
+    flow_in: set[int] = set()
     c_idx = -1
 
     def fresh_pair() -> tuple[int, int]:
@@ -73,16 +80,17 @@ def from_oriented_front(of: OrientedFront) -> PlanarDiagram:
             open_ends[m - 1:m - 1] = [t1, t2]
         elif let.kind == "x":
             c_idx += 1
+            base = 4 * c_idx
             d_up = of.dirs[occ.slices[t][m - 1]]
             d_down = of.dirs[occ.slices[t][m]]
-            flow_in.add((c_idx, 3) if d_up == RIGHT else (c_idx, 1))
-            flow_in.add((c_idx, 0) if d_down == RIGHT else (c_idx, 2))
-            pinned[open_ends[m - 1]] = (c_idx, 3)
-            pinned[open_ends[m]] = (c_idx, 0)
+            flow_in.add(base + 3 if d_up == RIGHT else base + 1)
+            flow_in.add(base if d_down == RIGHT else base + 2)
+            pinned[open_ends[m - 1]] = base + 3
+            pinned[open_ends[m]] = base
             ne_pin, ne_run = fresh_pair()
             se_pin, se_run = fresh_pair()
-            pinned[ne_pin] = (c_idx, 2)
-            pinned[se_pin] = (c_idx, 1)
+            pinned[ne_pin] = base + 2
+            pinned[se_pin] = base + 1
             open_ends[m - 1] = ne_run
             open_ends[m] = se_run
         else:
@@ -96,32 +104,98 @@ def from_oriented_front(of: OrientedFront) -> PlanarDiagram:
                 other_end[b] = a
             del open_ends[m - 1:m + 1]
 
-    conn: dict[Port, Port] = {}
-    for tok, port in pinned.items():
-        far = other_end[tok]
-        if far in pinned:
-            conn[port] = pinned[far]
+    # Once every cusp is closed, each pinned token's far end is pinned too.
     n = c_idx + 1
-    return PlanarDiagram(n, (True,) * n, conn, frozenset(flow_in), free_loops)
+    nbr = [0] * (4 * n)
+    for tok, port in pinned.items():
+        nbr[port] = pinned[other_end[tok]]
+    return PlanarDiagram(tuple(nbr), (True,) * n, frozenset(flow_in), free_loops)
 
 
 def crossing_sign(d: PlanarDiagram, c: int) -> int:
     """Writhe sign of an oriented crossing."""
     q = d.view(c)
-    return 1 if (((c, q[0]) in d.flow_in) == ((c, q[3]) in d.flow_in)) else -1
+    return 1 if ((4 * c + q[0] in d.flow_in) == (4 * c + q[3] in d.flow_in)) else -1
 
 
 def writhe(d: PlanarDiagram) -> int:
     return sum(crossing_sign(d, c) for c in range(d.n_crossings))
 
 
+# ---------------------------------------------------------------------------
+# Diagram surgery
+
+
+def _switch(d: PlanarDiagram, c: int) -> PlanarDiagram:
+    """Exchange the over- and under-strand of crossing ``c``."""
+    under = d.under02[:c] + (not d.under02[c],) + d.under02[c + 1:]
+    return PlanarDiagram(d.nbr, under, d.flow_in, d.free_loops)
+
+
+def _smooth(d: PlanarDiagram, c: int, pairs: tuple[tuple[int, int], tuple[int, int]]) -> PlanarDiagram:
+    """Remove crossing ``c`` joining its places pairwise as given."""
+    lo, hi = 4 * c, 4 * c + 4
+    hop: dict[int, int] = {}
+    for i, j in pairs:
+        hop[lo + i], hop[lo + j] = lo + j, lo + i
+    nbr = list(d.nbr)
+    free_loops = d.free_loops
+    seen: set[int] = set()
+    # Walk the paths that leave the crossing first; ports left over lie on
+    # closed loops.
+    ends = [p for p in range(lo, hi) if not lo <= d.nbr[p] < hi]
+    for start in ends + [p for p in range(lo, hi) if p not in ends]:
+        if start in seen:
+            continue
+        p = start
+        while True:
+            seen.update((p, hop[p]))
+            p = d.nbr[hop[p]]
+            if not lo <= p < hi:
+                a = d.nbr[start]
+                nbr[a], nbr[p] = p, a
+                break
+            if p == start:
+                free_loops += 1
+                break
+    return PlanarDiagram(
+        tuple(q - 4 if q >= hi else q for q in nbr[:lo] + nbr[hi:]),
+        d.under02[:c] + d.under02[c + 1:],
+        frozenset(p - 4 if p >= hi else p for p in d.flow_in if not lo <= p < hi),
+        free_loops,
+    )
+
+
+def _find_kink(d: PlanarDiagram) -> tuple[int, int] | None:
+    """Smallest crossing with an arc joining two adjacent ports, with sign."""
+    for c in range(d.n_crossings):
+        for i in range(4):
+            j = (i + 1) % 4
+            if d.nbr[4 * c + i] == 4 * c + j:
+                q = d.view(c)
+                if {i, j} in ({q[0], q[1]}, {q[2], q[3]}):
+                    return c, 1
+                return c, -1
+    return None
+
+
+def _strip_kink(d: PlanarDiagram, c: int) -> PlanarDiagram:
+    """Undo the curl at crossing ``c``: the smoothing that keeps its arc on one path."""
+    i = next(i for i in range(4) if d.nbr[4 * c + i] == 4 * c + (i + 1) % 4)
+    return _smooth(d, c, ((i, (i + 3) % 4), ((i + 1) % 4, (i + 2) % 4)))
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+
+
 @dataclass(frozen=True)
 class Traversal:
     """Passage order of a based traversal; one passage per (component, strand)."""
 
-    components: tuple[tuple[Port, ...], ...]   # arrival ports in walk order
+    components: tuple[tuple[int, ...], ...]   # arrival ports in walk order
     comp_of_crossing: tuple[tuple[int, ...], ...]  # crossing -> component ids (2 passages)
-    arrivals: tuple[tuple[Port, ...], ...]     # crossing -> its two arrival ports
+    arrivals: tuple[tuple[int, ...], ...]     # crossing -> its two arrival ports
 
 
 def traverse(d: PlanarDiagram, use_flow: bool) -> Traversal:
@@ -131,45 +205,44 @@ def traverse(d: PlanarDiagram, use_flow: bool) -> Traversal:
     direction is the canonical one induced by the smallest port of each
     component, which keeps the walk stable under crossing switches.
     """
-    all_ports = [(c, i) for c in range(d.n_crossings) for i in range(4)]
-    consumed: set[Port] = set()
-    comps: list[tuple[Port, ...]] = []
-    arrivals_of: dict[int, list[Port]] = {c: [] for c in range(d.n_crossings)}
-    comp_of: dict[int, list[int]] = {c: [] for c in range(d.n_crossings)}
+    n = d.n_crossings
+    consumed: set[int] = set()
+    comps: list[tuple[int, ...]] = []
+    arrivals_of: list[list[int]] = [[] for _ in range(n)]
+    comp_of: list[list[int]] = [[] for _ in range(n)]
 
-    for start in all_ports:
+    for start in range(4 * n):
         if start in consumed:
             continue
         if use_flow and start not in d.flow_in:
             continue
-        walk: list[Port] = []
+        walk: list[int] = []
         p = start
         while True:
             walk.append(p)
             consumed.add(p)
-            exit_port = d.through(p)
-            consumed.add(exit_port)
-            p = d.conn[exit_port]
+            consumed.add(p ^ 2)
+            p = d.nbr[p ^ 2]
             if p == start:
                 break
         cid = len(comps)
         comps.append(tuple(walk))
         for p in walk:
-            arrivals_of[p[0]].append(p)
-            comp_of[p[0]].append(cid)
+            arrivals_of[p // 4].append(p)
+            comp_of[p // 4].append(cid)
     return Traversal(
         tuple(comps),
-        tuple(tuple(comp_of[c]) for c in range(d.n_crossings)),
-        tuple(tuple(arrivals_of[c]) for c in range(d.n_crossings)),
+        tuple(tuple(ids) for ids in comp_of),
+        tuple(tuple(ports) for ports in arrivals_of),
     )
 
 
-def sign_from_arrivals(d: PlanarDiagram, c: int, arrivals: tuple[Port, ...]) -> int:
+def sign_from_arrivals(d: PlanarDiagram, c: int, arrivals: tuple[int, ...]) -> int:
     """Crossing sign using the two traversal arrival ports."""
     q = d.view(c)
     under_arr = next(p for p in arrivals if d.is_under_port(p))
     over_arr = next(p for p in arrivals if not d.is_under_port(p))
-    return 1 if ((under_arr[1] == q[0]) == (over_arr[1] == q[3])) else -1
+    return 1 if ((under_arr % 4 == q[0]) == (over_arr % 4 == q[3])) else -1
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +261,8 @@ def pd_export(d: PlanarDiagram) -> str:
     starts = sorted(
         (p for p in d.flow_in if d.is_under_port(p))
     ) + sorted(p for p in d.flow_in if not d.is_under_port(p))
-    visited: set[Port] = set()
-    arc_at: dict[Port, int] = {}
+    visited: set[int] = set()
+    arc_at: dict[int, int] = {}
     label = 0
     for start in starts:
         if start in visited:
@@ -198,17 +271,16 @@ def pd_export(d: PlanarDiagram) -> str:
         while True:
             visited.add(p)
             label += 1
-            exit_port = d.through(p)
-            arc_at[exit_port] = label
-            arc_at[d.conn[exit_port]] = label
-            p = d.conn[exit_port]
+            arc_at[p ^ 2] = label
+            p = d.nbr[p ^ 2]
+            arc_at[p] = label
             if p == start:
                 break
     lines = []
     for c in range(d.n_crossings):
         q = d.view(c)
-        start = q[0] if (c, q[0]) in d.flow_in else q[2]
-        ports = [(c, (start + k) % 4) for k in range(4)]
+        start = q[0] if 4 * c + q[0] in d.flow_in else q[2]
+        ports = [4 * c + (start + k) % 4 for k in range(4)]
         lines.append("X[" + ",".join(str(arc_at[p]) for p in ports) + "]")
     for k in range(d.free_loops):
         lines.append(f"O{k + 1}")
@@ -239,21 +311,21 @@ def pd_import(text: str) -> PlanarDiagram:
     if not crossings and not free_loops:
         raise ParseError("NOT_CLOSED", "empty PD code")
 
-    ends: dict[int, list[Port]] = {}
+    ends: dict[int, list[int]] = {}
     for c, labels in enumerate(crossings):
         for i, lab in enumerate(labels):
-            ends.setdefault(lab, []).append((c, i))
-    conn: dict[Port, Port] = {}
+            ends.setdefault(lab, []).append(4 * c + i)
+    n = len(crossings)
+    nbr = [0] * (4 * n)
     for lab, ports in ends.items():
         if len(ports) != 2:
             raise ParseError("UNKNOWN_TOKEN", f"arc label {lab} appears {len(ports)} times")
-        conn[ports[0]] = ports[1]
-        conn[ports[1]] = ports[0]
+        nbr[ports[0]] = ports[1]
+        nbr[ports[1]] = ports[0]
 
-    n = len(crossings)
-    flow: dict[Port, int] = {}  # +1 in, -1 out
+    flow: dict[int, int] = {}  # +1 in, -1 out
 
-    def set_flow(port: Port, value: int) -> None:
+    def set_flow(port: int, value: int) -> None:
         stack = [(port, value)]
         while stack:
             p, v = stack.pop()
@@ -262,17 +334,15 @@ def pd_import(text: str) -> PlanarDiagram:
                     raise ParseError("UNKNOWN_TOKEN", "inconsistent PD orientations")
                 continue
             flow[p] = v
-            stack.append((conn[p], -v))
-            c, i = p
-            mate = (c, (i + 2) % 4)
-            stack.append((mate, -v))
+            stack.append((nbr[p], -v))
+            stack.append((p ^ 2, -v))
 
     for c in range(n):
-        set_flow((c, 0), 1)
+        set_flow(4 * c, 1)
     for c in range(n):
         for i in (1, 3):
-            if (c, i) not in flow:
-                set_flow((c, i), 1)
+            if 4 * c + i not in flow:
+                set_flow(4 * c + i, 1)
 
     flow_in = frozenset(p for p, v in flow.items() if v == 1)
-    return PlanarDiagram(n, (True,) * n, conn, flow_in, free_loops)
+    return PlanarDiagram(tuple(nbr), (True,) * n, flow_in, free_loops)

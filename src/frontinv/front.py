@@ -106,11 +106,6 @@ class FrontWord:
         return tuple(counts)
 
     @property
-    def crossings(self) -> tuple[int, ...]:
-        """Word positions of the crossing letters, in order."""
-        return tuple(t for t, let in enumerate(self.letters) if let.kind == "x")
-
-    @property
     def num_crossings(self) -> int:
         return sum(1 for let in self.letters if let.kind == "x")
 
@@ -288,10 +283,6 @@ class OrientedFront:
     @property
     def n_components(self) -> int:
         return len(self.choices)
-
-    def dir_at(self, t: int, pos: int) -> int:
-        """Direction of the strand at 1-based position ``pos`` before letter t."""
-        return self.dirs[occupancy(self.word).slices[t][pos - 1]]
 
 
 def orient(word: FrontWord, choices: Mapping[int, bool] | None = None) -> OrientedFront:

@@ -74,10 +74,6 @@ class LaurentPoly1:
         return cls({0: 1})
 
     @classmethod
-    def const(cls, c: int) -> "LaurentPoly1":
-        return cls({0: c})
-
-    @classmethod
     def z(cls, exp: int = 1, coeff: int = 1) -> "LaurentPoly1":
         return cls({exp: coeff})
 
@@ -87,9 +83,6 @@ class LaurentPoly1:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coeff(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -155,10 +148,6 @@ class LaurentPoly2:
     @classmethod
     def one(cls) -> "LaurentPoly2":
         return cls({(0, 0): 1})
-
-    @classmethod
-    def const(cls, c: int) -> "LaurentPoly2":
-        return cls({(0, 0): c})
 
     @classmethod
     def monomial(cls, z_exp: int = 0, a_exp: int = 0, coeff: int = 1) -> "LaurentPoly2":

@@ -24,11 +24,14 @@ B = [a**(c-1)] D and Q = [a**(c-1)] H with c the left-cusp count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .diagram import (
     PlanarDiagram,
-    Port,
+    _find_kink,
+    _smooth,
+    _strip_kink,
+    _switch,
     crossing_sign,
     from_oriented_front,
     sign_from_arrivals,
@@ -49,113 +52,7 @@ def _a_power(k: int) -> LaurentPoly2:
 
 
 # ---------------------------------------------------------------------------
-# Diagram surgery
-
-
-def _relabel(d: PlanarDiagram, removed: int, conn: dict[Port, Port],
-             flow_in: set[Port], free_loops: int) -> PlanarDiagram:
-    def ren(port: Port) -> Port:
-        c, i = port
-        return (c - 1, i) if c > removed else (c, i)
-
-    under = tuple(f for c, f in enumerate(d.under02) if c != removed)
-    return PlanarDiagram(
-        d.n_crossings - 1,
-        under,
-        {ren(p): ren(q) for p, q in conn.items()},
-        frozenset(ren(p) for p in flow_in if p[0] != removed),
-        free_loops,
-    )
-
-
-def _switch(d: PlanarDiagram, c: int) -> PlanarDiagram:
-    under = tuple((not f) if k == c else f for k, f in enumerate(d.under02))
-    return PlanarDiagram(d.n_crossings, under, d.conn, d.flow_in, d.free_loops)
-
-
-def _smooth(d: PlanarDiagram, c: int, pairs: tuple[tuple[int, int], tuple[int, int]]) -> PlanarDiagram:
-    """Remove crossing ``c`` joining its ports pairwise as given."""
-    passthrough: dict[Port, Port] = {}
-    for i, j in pairs:
-        passthrough[(c, i)] = (c, j)
-        passthrough[(c, j)] = (c, i)
-    removed = {(c, i) for i in range(4)}
-    new_conn = {p: q for p, q in d.conn.items() if p not in removed and q not in removed}
-    free_loops = d.free_loops
-    resolved: set[Port] = set()
-    for p, q in d.conn.items():
-        if p in removed or q not in removed:
-            continue
-        cur = q
-        while cur in removed:
-            resolved.add(cur)
-            hop = passthrough[cur]
-            resolved.add(hop)
-            cur = d.conn[hop]
-        new_conn[p] = cur
-        new_conn[cur] = p  # overwritten consistently when cur is off-c
-    # arcs living entirely on the removed crossing close into loops
-    for start in sorted(removed - resolved):
-        if start in resolved:
-            continue
-        cur = start
-        while True:
-            resolved.add(cur)
-            hop = passthrough[cur]
-            resolved.add(hop)
-            nxt = d.conn[hop]
-            if nxt == start:
-                free_loops += 1
-                break
-            cur = nxt
-    return _relabel(d, c, new_conn, set(d.flow_in), free_loops)
-
-
-def _find_kink(d: PlanarDiagram) -> tuple[int, int] | None:
-    """Smallest crossing with an arc joining two adjacent ports, with sign."""
-    for c in range(d.n_crossings):
-        for i in range(4):
-            j = (i + 1) % 4
-            if d.conn.get((c, i)) == (c, j):
-                q = d.view(c)
-                if {i, j} in ({q[0], q[1]}, {q[2], q[3]}):
-                    return c, 1
-                return c, -1
-    return None
-
-
-def _strip_kink(d: PlanarDiagram, c: int) -> PlanarDiagram:
-    kink_ports = next(
-        {(c, i), (c, (i + 1) % 4)}
-        for i in range(4)
-        if d.conn.get((c, i)) == (c, (i + 1) % 4)
-    )
-    others = [(c, i) for i in range(4) if (c, i) not in kink_ports]
-    a_end, b_end = d.conn[others[0]], d.conn[others[1]]
-    new_conn = {
-        p: q for p, q in d.conn.items() if p[0] != c and q[0] != c
-    }
-    free_loops = d.free_loops
-    if a_end == others[1]:
-        free_loops += 1
-    else:
-        new_conn[a_end] = b_end
-        new_conn[b_end] = a_end
-    return _relabel(d, c, new_conn, set(d.flow_in), free_loops)
-
-
-# ---------------------------------------------------------------------------
 # Skein recursion
-
-
-def _serialize(d: PlanarDiagram, with_flow: bool):
-    return (
-        d.n_crossings,
-        d.under02,
-        tuple(sorted(d.conn.items())),
-        tuple(sorted(d.flow_in)) if with_flow else None,
-        d.free_loops,
-    )
 
 
 def _bad_crossings(d: PlanarDiagram, use_flow: bool) -> list[int]:
@@ -164,7 +61,7 @@ def _bad_crossings(d: PlanarDiagram, use_flow: bool) -> list[int]:
     bads: list[int] = []
     for walk in trav.components:
         for p in walk:
-            c = p[0]
+            c = p // 4
             if c in seen:
                 continue
             seen.add(c)
@@ -199,15 +96,13 @@ class _SkeinEngine:
             if d.free_loops == 0:
                 raise InternalInconsistency("empty diagram has no polynomial")
             return self.delta ** (d.free_loops - 1)
-        key = None
         if self.memo is not None:
-            key = _serialize(d, self.homfly)
-            cached = self.memo.get(key)
+            cached = self.memo.get(d)
             if cached is not None:
                 return cached
         value = self._compute(d)
         if self.memo is not None:
-            self.memo[key] = value
+            self.memo[d] = value
         return value
 
     def _compute(self, d: PlanarDiagram) -> LaurentPoly2:
@@ -237,7 +132,9 @@ class _SkeinEngine:
 
 def kauffman_D(d: PlanarDiagram, *, memo: bool = True, heuristic: str = "first") -> LaurentPoly2:
     """Dubrovnik polynomial of a diagram, D(unknot) = 1."""
-    return _SkeinEngine(False, memo, heuristic).eval(d)
+    # D never reads orientation; without it, diagrams that differ only in arc
+    # directions share one memo entry.
+    return _SkeinEngine(False, memo, heuristic).eval(replace(d, flow_in=frozenset()))
 
 
 def homfly_H(d: PlanarDiagram, *, memo: bool = True, heuristic: str = "first") -> LaurentPoly2:

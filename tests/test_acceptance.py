@@ -14,7 +14,7 @@ import pytest
 
 from conftest import corpus_words, random_fronts
 
-from frontinv.diagram import crossing_sign, from_oriented_front
+from frontinv.diagram import _smooth, _switch, crossing_sign, from_oriented_front
 from frontinv.front import (
     FrontWord,
     L,
@@ -40,8 +40,6 @@ from frontinv.rulings import (
 from frontinv.toposkein import (
     B_of,
     Q_of,
-    _smooth,
-    _switch,
     homfly_H,
     kauffman_D,
     sharpness,

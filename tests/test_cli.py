@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from math import comb
 
 import pytest
 
@@ -51,6 +52,19 @@ def test_rulings_listing(capsys):
     assert data["count"] == 3
     assert data["polynomial"] == "z^2 + 2"
     assert data["rulings"] == [[1], [1, 2, 3], [3]]
+
+
+def test_rulings_count_without_listing(capsys, tmp_path):
+    # 2^40 switch sets: the count must come from the polynomial, not a listing
+    n = 40
+    f = tmp_path / "twist.front"
+    f.write_text("l1 l3 " + "x2 " * n + "r1 r1\n")
+    code, out, _ = run_cli(capsys, "rulings", str(f))
+    assert code == 0
+    data = json.loads(out)
+    assert "rulings" not in data
+    # T(2,n) twist: C((n+s)/2, s) rulings with s switches, s = n mod 2
+    assert data["count"] == sum(comb((n + s) // 2, s) for s in range(0, n + 1, 2))
 
 
 def test_poly_ruling_unknot(capsys):
@@ -179,4 +193,13 @@ def test_crossing_cap(capsys, tmp_path):
     code, _, err = run_cli(capsys, "poly", str(f), "--which", "B-topo")
     assert code == 2 and "cap" in err
     code, out, _ = run_cli(capsys, "poly", str(f), "--which", "ruling", "--force")
+    assert code == 0
+    # the same diagram as PD text is held to the same cap
+    code, out, _ = run_cli(capsys, "pd", str(f))
+    assert code == 0
+    pd_file = tmp_path / "big.pd"
+    pd_file.write_text(out)
+    code, _, err = run_cli(capsys, "poly", str(pd_file), "--which", "kauffman")
+    assert code == 2 and "cap" in err
+    code, _, _ = run_cli(capsys, "poly", str(pd_file), "--which", "kauffman", "--force")
     assert code == 0

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import corpus_words, random_fronts
 
-from frontinv.diagram import from_oriented_front, pd_export, pd_import, writhe
+from frontinv.diagram import _smooth, _switch, from_oriented_front, pd_export, pd_import, writhe
 from frontinv.errors import ParseError
 from frontinv.front import (
     all_orientations,
@@ -31,8 +31,6 @@ from frontinv.toposkein import (
     B_of,
     Q_of,
     _SkeinEngine,
-    _smooth,
-    _switch,
     homfly_H,
     homfly_P,
     kauffman_D,
@@ -185,6 +183,14 @@ def test_defining_relations_on_random_diagrams():
             assert lhs_h == rhs_h
             checked += 1
     assert checked >= 100
+
+
+def test_D_independent_of_orientation():
+    words = [w for _, w in corpus_words()]
+    words += [w for w in random_fronts(seed=41, count=40, max_len=12) if w.num_crossings <= 7]
+    for w in words:
+        values = {kauffman_D(from_oriented_front(of)) for of in all_orientations(w)}
+        assert len(values) == 1, w.render()
 
 
 def _h_multiset(word):
