@@ -185,6 +185,29 @@ def _strip_kink(d: PlanarDiagram, c: int) -> PlanarDiagram:
     return _smooth(d, c, ((i, (i + 3) % 4), ((i + 1) % 4, (i + 2) % 4)))
 
 
+def _find_bigon(d: PlanarDiagram) -> tuple[int, int] | None:
+    """Smallest crossings ``c < c2`` that a Reidemeister II move removes.
+
+    Places ``i, i+1`` of ``c`` are joined to places ``k+1, k`` of ``c2``, so
+    the two arcs bound a bigon face, and the strand through place ``i`` is
+    under at both crossings (or over at both).
+    """
+    nbr = d.nbr
+    for p in range(4 * d.n_crossings):
+        q = nbr[p]
+        if q // 4 <= p // 4 or d.is_under_port(p) != d.is_under_port(q):
+            continue
+        if nbr[p - p % 4 + (p + 1) % 4] == q - q % 4 + (q - 1) % 4:
+            return p // 4, q // 4
+    return None
+
+
+def _strip_bigon(d: PlanarDiagram, c: int, c2: int) -> PlanarDiagram:
+    """Pull the two strands of the bigon at ``c < c2`` apart: both go straight on."""
+    through = ((0, 2), (1, 3))
+    return _smooth(_smooth(d, c2, through), c, through)
+
+
 # ---------------------------------------------------------------------------
 # Traversal
 

@@ -28,6 +28,7 @@ split rule and the unknot value consistent.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from .errors import FuelExhausted, InternalInconsistency, PatternMismatch
 from .front import FrontWord, L, Letter, R, X, letter_delta, swap_adjacent_all
@@ -584,4 +585,9 @@ def evaluate_B(
 ) -> LaurentPoly1:
     """Value of the ruling invariant computed purely by word rewriting."""
     ev = _Evaluator(memo, fuel if fuel is not None else default_fuel(), trace)
-    return ev.eval(word.letters)
+    try:
+        return ev.eval(word.letters)
+    except RecursionError:
+        raise FuelExhausted(
+            f"reduction nested deeper than the recursion limit ({sys.getrecursionlimit()})"
+        ) from None

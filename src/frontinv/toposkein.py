@@ -1,11 +1,16 @@
 """Dubrovnik (Kauffman) and regular-isotopy HOMFLY polynomials by skein trees.
 
-Both evaluators recurse on planar diagrams.  Crossings are examined along a
-based traversal (components ordered by smallest port, each walked from its
-smallest port); the first crossing first reached on its understrand is
-resolved.  Switching it moves the diagram strictly closer to descending and
-smoothing removes a crossing, so the tree is finite.  Descending diagrams
-are regular-isotopic to split unions of kinked circles and evaluate to
+Both evaluators recurse on planar diagrams.  Each node first removes one
+kink (Reidemeister I, a factor a**(+-1)), else one bigon whose two crossings
+have the same strand on top (Reidemeister II, a regular isotopy, so no
+factor for D or H in either orientation).  Only a diagram with neither is
+resolved at a crossing: crossings are examined along a based traversal
+(components ordered by smallest port, each walked from its smallest port),
+and the first crossing first reached on its understrand is switched and
+smoothed.  Kink and bigon removal and smoothing take away one or two
+crossings, and switching keeps the crossings and the traversal and makes
+one fewer crossing bad, so the tree is finite.  Descending diagrams are
+regular-isotopic to split unions of kinked circles and evaluate to
 a**(sum of self-crossing signs) * delta**(components - 1).
 
 Conventions, pinned by the corpus identities (ruling polynomial equals the
@@ -24,12 +29,15 @@ B = [a**(c-1)] D and Q = [a**(c-1)] H with c the left-cusp count.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 from .diagram import (
     PlanarDiagram,
+    _find_bigon,
     _find_kink,
     _smooth,
+    _strip_bigon,
     _strip_kink,
     _switch,
     crossing_sign,
@@ -38,7 +46,7 @@ from .diagram import (
     traverse,
     writhe,
 )
-from .errors import InternalInconsistency
+from .errors import FuelExhausted, InternalInconsistency
 from .front import FrontWord, OrientedFront, invariants, orient
 from .poly import LaurentPoly1, LaurentPoly2, coeff_a, deg_a
 
@@ -110,6 +118,9 @@ class _SkeinEngine:
         if kink is not None:
             c, sign = kink
             return _a_power(sign) * self.eval(_strip_kink(d, c))
+        bigon = _find_bigon(d)
+        if bigon is not None:
+            return self.eval(_strip_bigon(d, *bigon))
         bads = _bad_crossings(d, self.homfly)
         if not bads:
             return _descending_value(d, self.homfly, self.delta)
@@ -130,16 +141,25 @@ class _SkeinEngine:
         )
 
 
+def _run(engine: _SkeinEngine, d: PlanarDiagram) -> LaurentPoly2:
+    try:
+        return engine.eval(d)
+    except RecursionError:
+        raise FuelExhausted(
+            f"skein tree nested deeper than the recursion limit ({sys.getrecursionlimit()})"
+        ) from None
+
+
 def kauffman_D(d: PlanarDiagram, *, memo: bool = True, heuristic: str = "first") -> LaurentPoly2:
     """Dubrovnik polynomial of a diagram, D(unknot) = 1."""
     # D never reads orientation; without it, diagrams that differ only in arc
     # directions share one memo entry.
-    return _SkeinEngine(False, memo, heuristic).eval(replace(d, flow_in=frozenset()))
+    return _run(_SkeinEngine(False, memo, heuristic), replace(d, flow_in=frozenset()))
 
 
 def homfly_H(d: PlanarDiagram, *, memo: bool = True, heuristic: str = "first") -> LaurentPoly2:
     """Regular-isotopy HOMFLY polynomial of an oriented diagram, H(unknot) = 1."""
-    return _SkeinEngine(True, memo, heuristic).eval(d)
+    return _run(_SkeinEngine(True, memo, heuristic), d)
 
 
 def _as_oriented(front: FrontWord | OrientedFront) -> OrientedFront:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import inspect
 import json
 import random
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,17 @@ def corpus_words() -> list[tuple[str, FrontWord]]:
 
 def expected_fixture(name: str) -> dict:
     return json.loads((CORPUS / "expected" / f"{name}.json").read_text())
+
+
+@contextmanager
+def recursion_headroom(frames: int):
+    """Lower the recursion limit to ``frames`` above the current depth, and restore it."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def random_front(rng: random.Random, max_len: int = 14, max_strands: int = 6) -> FrontWord | None:

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from conftest import corpus_words, random_fronts
+from conftest import corpus_words, random_fronts, recursion_headroom
 
-from frontinv.errors import PatternMismatch
+from frontinv.errors import FuelExhausted, PatternMismatch
 from frontinv.front import FrontWord, L, Letter, R, X, parse_front
 from frontinv.legskein import canonicalize, evaluate_B, skein_expand
 from frontinv.poly import LaurentPoly1, parse_poly1
@@ -204,10 +204,17 @@ def test_fuel_budget_is_generous():
 
 
 def test_fuel_exhaustion_raises():
-    from frontinv.errors import FuelExhausted
-
     with pytest.raises(FuelExhausted):
         evaluate_B(parse_front("l1 l3 x2 x2 x2 r1 r1"), fuel=1)
+
+
+@pytest.mark.parametrize("memo", [True, False])
+def test_recursion_limit_is_fuel_exhausted(memo):
+    word = parse_front("l1 l3 " + "x2 " * 100 + "r1 r1")
+    with recursion_headroom(150):
+        with pytest.raises(FuelExhausted) as exc:
+            evaluate_B(word, memo=memo)
+    assert exc.value.code == "FUEL_EXHAUSTED"
 
 
 def test_mirrored_type2_word_identity():

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import importlib.util
 import random
 
 import pytest
 
-from conftest import corpus_words, expected_fixture, random_fronts
+from conftest import CORPUS, ROOT, corpus_paths, corpus_words, expected_fixture, random_fronts
 
 from frontinv.front import R, X, all_orientations, orient, parse_front
 from frontinv.poly import LaurentPoly1, parse_poly1, render_poly1
@@ -156,6 +157,21 @@ def test_fixtures_match_oracle_and_sweep():
                 render_poly1(oriented_ruling_polynomial(of))
                 == fix["orientations"][key]["oriented_polynomial"]
             )
+
+
+def _fixture_tool():
+    path = ROOT / "tools" / "generate_fixtures.py"
+    spec = importlib.util.spec_from_file_location("generate_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("path", corpus_paths(), ids=lambda p: p.stem)
+def test_fixtures_reproduce_from_bruteforce(path):
+    # every committed fixture is exactly what the brute-force generator writes
+    text = _fixture_tool().fixture_json(path.read_text())
+    assert text.encode() == (CORPUS / "expected" / f"{path.stem}.json").read_bytes()
 
 
 # -- structural properties

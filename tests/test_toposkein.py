@@ -4,10 +4,21 @@ import random
 
 import pytest
 
-from conftest import corpus_words, random_fronts
+from conftest import corpus_words, random_fronts, recursion_headroom
 
-from frontinv.diagram import _smooth, _switch, from_oriented_front, pd_export, pd_import, writhe
-from frontinv.errors import ParseError
+from frontinv.cli import CROSSING_CAP
+from frontinv.diagram import (
+    _find_bigon,
+    _find_kink,
+    _smooth,
+    _strip_bigon,
+    _switch,
+    from_oriented_front,
+    pd_export,
+    pd_import,
+    writhe,
+)
+from frontinv.errors import FuelExhausted, ParseError
 from frontinv.front import (
     all_orientations,
     applicable_moves,
@@ -68,6 +79,37 @@ def test_kink_values():
     assert writhe(d) == 1
     assert kauffman_D(d) == parse_poly2("a")
     assert homfly_H(d) == parse_poly2("a")
+
+
+def test_bigon_after_switch():
+    # switching one crossing of the Hopf clasp leaves a Reidemeister II pair
+    # that pulls apart into two free loops
+    d = _switch(top("l1 l3 x2 x2 r1 r1"), 0)
+    assert _find_bigon(d) == (0, 1)
+    stripped = _strip_bigon(d, 0, 1)
+    assert stripped.n_crossings == 0 and stripped.free_loops == 2
+    # in T(2,3), switching the middle crossing pairs it with either neighbour;
+    # removing the first pair leaves a one-crossing kink
+    d = _switch(top("l1 l3 x2 x2 x2 r1 r1"), 1)
+    assert _find_bigon(d) == (0, 1)
+    stripped = _strip_bigon(d, 0, 1)
+    assert stripped.n_crossings == 1 and _find_kink(stripped) is not None
+    assert kauffman_D(d) == kauffman_D(stripped)
+    assert homfly_H(d) == homfly_H(stripped)
+
+
+def test_no_bigon_in_alternating_clasps():
+    # in the unswitched clasps the over-strand alternates around every bigon
+    for text in ("l1 l3 x2 x2 r1 r1", "l1 l3 x2 x2 x2 r1 r1"):
+        assert _find_bigon(top(text)) is None
+
+
+def test_no_bigon_in_kinks():
+    # one kink, two split kinks, and two kinks of either sign on one circle
+    for text in ("l1 x1 r1", "l1 x1 r1 l1 x1 r1", "l1 l2 x1 r2 l2 x1 r2 r1", "l1 l2 x1 r2 x1 r1"):
+        d = top(text)
+        assert _find_kink(d) is not None
+        assert _find_bigon(d) is None
 
 
 def test_split_values():
@@ -183,6 +225,30 @@ def test_defining_relations_on_random_diagrams():
             assert lhs_h == rhs_h
             checked += 1
     assert checked >= 100
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["l1 l2 l3 l4 " + "x1 x2 x3 " * 5 + "r4 r3 r2 r1", "l1 l3 " + "x2 " * 31 + "r1 r1"],
+    ids=["4-braid-15", "T(2,31)"],
+)
+def test_triangle_past_crossing_cap(text):
+    # the CLI refuses these without --force; the tree must still agree with
+    # the sweep
+    w = parse_front(text)
+    assert w.num_crossings > CROSSING_CAP
+    assert B_of(w) == ruling_polynomial(w)
+    for of in all_orientations(w):
+        assert Q_of(of) == oriented_ruling_polynomial(of)
+
+
+@pytest.mark.parametrize("evaluate", [kauffman_D, homfly_H])
+def test_recursion_limit_is_fuel_exhausted(evaluate):
+    d = top("l1 l3 " + "x2 " * 100 + "r1 r1")
+    with recursion_headroom(150):
+        with pytest.raises(FuelExhausted) as exc:
+            evaluate(d)
+    assert exc.value.code == "FUEL_EXHAUSTED"
 
 
 def test_D_independent_of_orientation():

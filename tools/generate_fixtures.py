@@ -31,38 +31,43 @@ def polynomial_of(rulings, c: int) -> str:
     return render_poly1(LaurentPoly1(terms))
 
 
+def fixture_json(front_file_text: str) -> str:
+    """The expected-value fixture of one ``.front`` file, as written to disk."""
+    word, _ = parse_front_file(front_file_text)
+    c = word.num_left_cusps
+    plain = enumerate_rulings_bruteforce(word)
+    record = {
+        "front": word.render(),
+        "generated_by": "tools/generate_fixtures.py: exhaustive switch-set "
+        "enumeration through the direct ruling checker",
+        "c": c,
+        "cr": word.num_crossings,
+        "components": components(word).n_components,
+        "rulings": sorted([list(r.switches) for r in plain]),
+        "ruling_polynomial": polynomial_of(plain, c),
+        "orientations": {},
+    }
+    for of in all_orientations(word):
+        key = "".join("+" if b else "-" for b in of.choices)
+        oriented = enumerate_rulings_bruteforce(word, oriented=True, oriented_front=of)
+        inv = invariants(of)
+        record["orientations"][key] = {
+            "w": inv.w,
+            "beta": inv.beta,
+            "r": inv.r,
+            "oriented_rulings": sorted([list(r.switches) for r in oriented]),
+            "oriented_polynomial": polynomial_of(oriented, c),
+        }
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
 def main() -> int:
     corpus = ROOT / "corpus"
     outdir = corpus / "expected"
     outdir.mkdir(exist_ok=True)
     for path in sorted(corpus.glob("*.front")):
-        word, flags = parse_front_file(path.read_text())
-        c = word.num_left_cusps
-        plain = enumerate_rulings_bruteforce(word)
-        record = {
-            "front": word.render(),
-            "generated_by": "tools/generate_fixtures.py: exhaustive switch-set "
-            "enumeration through the direct ruling checker",
-            "c": c,
-            "cr": word.num_crossings,
-            "components": components(word).n_components,
-            "rulings": sorted([list(r.switches) for r in plain]),
-            "ruling_polynomial": polynomial_of(plain, c),
-            "orientations": {},
-        }
-        for of in all_orientations(word):
-            key = "".join("+" if b else "-" for b in of.choices)
-            oriented = enumerate_rulings_bruteforce(word, oriented=True, oriented_front=of)
-            inv = invariants(of)
-            record["orientations"][key] = {
-                "w": inv.w,
-                "beta": inv.beta,
-                "r": inv.r,
-                "oriented_rulings": sorted([list(r.switches) for r in oriented]),
-                "oriented_polynomial": polynomial_of(oriented, c),
-            }
         out = outdir / f"{path.stem}.json"
-        out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        out.write_text(fixture_json(path.read_text()))
         print(f"wrote {out.relative_to(ROOT)}")
     return 0
 
