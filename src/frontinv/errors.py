@@ -32,10 +32,6 @@ class MoveNotApplicable(FrontError):
     code = "MOVE_NOT_APPLICABLE"
 
 
-class PatternMismatch(FrontError):
-    code = "PATTERN_MISMATCH"
-
-
 class FuelExhausted(FrontError):
     code = "FUEL_EXHAUSTED"
 

@@ -14,23 +14,57 @@ pattern, and the split rule value(K1 | K2) = z^-1 value(K1) value(K2).
 The reduction walks the suffix after the rightmost left cusp, keeping the
 normal form  X l_m (x_{m-1} .. x_{m-N1}) (x_{m+1} .. x_{m+N2}) Y  and
 dispatching on the first letter of Y.  Each dispatch either absorbs a letter
-into X, grows a run, removes crossings with a Type 1/2/3 move, or fires the
-skein relation (spawning two lower-crossing side words).  The lexicographic
-measure (L, M) with L the left-cusp count and M = N + cr(suffix) never
-increases, and steps that hold it fixed grow N1 + N2, so the walk
-terminates; a fuel counter guards against implementation bugs.
+into X, grows a run, removes crossings with a Type 1/2 move, or fires the
+skein relation.
 
-Words equal up to planar-isotopy commutations share a canonical form, used
-as the memoization key.  The empty word evaluates to z, which makes the
-split rule and the unknot value consistent.
+The skein relation is built in one place, ``_Machine._skein``.  With d = -1
+or +1 it reads
+
+    X l_m x_{m+d} rest = X l_{m+d} x_m rest + z * [X l_m rest]
+                                            - z * [X l_{m+d} rest]
+
+(for d = -1 this is the relation above; for d = +1 it is the same relation
+solved for its other side).  It fires on the first crossing of run1 (d = -1)
+or of run2 (d = +1, after x_{m+1} commutes past run1).  The two bracketed
+side words have one crossing fewer.  The main word is again in normal form,
+at cusp m+d: the fired run is one crossing shorter, and x_m heads the other
+run.
+
+The Type 3 step follows from the relation alone.  When Y starts with x_m and
+both runs are non-empty, the word is
+
+    X l_m x_{m-1} rest1 (x_{m+1} .. x_{m+N2}) x_m Y'.
+
+Firing the relation on l_m x_{m-1} leaves the main word
+
+    X l_{m-1} rest1 (x_m x_{m+1} .. x_{m+N2}) x_m Y',
+
+which has as many crossings as the input and still begins its suffix with
+the head x_m.  So the head stays in Y: relative to cusp m-1 it now lies
+inside run2, and the next dispatch slides it through run2 into X by a braid
+move.  The side words keep the head too.  A head r_m with both runs
+non-empty takes the same step, after which a Type 2 move removes r_m.
+
+The lexicographic measure (L, M, -(N1 + N2), N1), with L the left-cusp
+count and M = N + N1 + N2 + cr(Y), falls at every rewriting step.  Absorbs,
+slides, Type 1/2 moves and skein cascades that end in a Type 2 move lower M.
+Growing a run holds M and grows N1 + N2.  A lone skein step (Type 3, or its
+twin before r_m) holds M and N1 + N2 and shortens run1.  Since
+N1 + N2 <= N - 2, the walk terminates; a fuel counter guards against
+implementation bugs.
+
+A split union is a product of its factors (split rule) before any memo
+lookup, so a chain of eyes costs one lookup per factor.  Words equal up to
+planar-isotopy commutations share a canonical form, used as the memoization
+key of each factor.  The empty word evaluates to z, which makes the split
+rule and the unknot value consistent.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-from dataclasses import dataclass, field
-from .errors import FuelExhausted, InternalInconsistency, PatternMismatch
+
+from .errors import FuelExhausted, InternalInconsistency
 from .front import FrontWord, L, Letter, R, X, letter_delta, swap_adjacent_all
 from .poly import LaurentPoly1
 
@@ -38,9 +72,7 @@ Letters = tuple[Letter, ...]
 
 _KIND_RANK = {"x": 0, "l": 1, "r": 2}
 
-
-def default_fuel() -> int:
-    return int(os.environ.get("FRONTINV_LEGSKEIN_FUEL", "1000000"))
+_DEFAULT_FUEL = 1_000_000  # reduction steps per evaluate_B call
 
 
 # ---------------------------------------------------------------------------
@@ -157,81 +189,6 @@ def canonicalize(word: FrontWord) -> FrontWord:
 
 
 # ---------------------------------------------------------------------------
-# Word expressions
-
-
-@dataclass
-class WordExpr:
-    """A finite z-Laurent-weighted combination of front words."""
-
-    terms: dict[FrontWord, LaurentPoly1] = field(default_factory=dict)
-
-    @classmethod
-    def single(cls, word: FrontWord, coeff: LaurentPoly1 | None = None) -> "WordExpr":
-        return cls({word: coeff if coeff is not None else LaurentPoly1.one()})
-
-    def add_term(self, word: FrontWord, coeff: LaurentPoly1) -> None:
-        cur = self.terms.get(word, LaurentPoly1.zero()) + coeff
-        if cur.is_zero():
-            self.terms.pop(word, None)
-        else:
-            self.terms[word] = cur
-
-    def __add__(self, other: "WordExpr") -> "WordExpr":
-        out = WordExpr(dict(self.terms))
-        for w, c in other.terms.items():
-            out.add_term(w, c)
-        return out
-
-    def scale(self, coeff: LaurentPoly1) -> "WordExpr":
-        if coeff.is_zero():
-            return WordExpr()
-        return WordExpr({w: c * coeff for w, c in self.terms.items()})
-
-    def substitute(self, word: FrontWord, expansion: "WordExpr") -> "WordExpr":
-        """Replace one word by an equivalent expression."""
-        if word not in self.terms:
-            return self
-        coeff = self.terms[word]
-        out = WordExpr({w: c for w, c in self.terms.items() if w != word})
-        for w, c in expansion.terms.items():
-            out.add_term(w, c * coeff)
-        return out
-
-
-def skein_expand(word: FrontWord, site: int) -> WordExpr:
-    """Expand the pair at ``site`` by the skein relation.
-
-    The site must hold adjacent letters ``l_{m+1} x_m`` or ``l_m x_{m+1}``;
-    the result is the equivalent three-term combination (the interchanged
-    word plus two z-weighted words with the crossing deleted).
-    """
-    letters = word.letters
-    if not 0 <= site < len(letters) - 1:
-        raise PatternMismatch(f"no letter pair at site {site}")
-    a, b = letters[site], letters[site + 1]
-    if a.kind != "l" or b.kind != "x":
-        raise PatternMismatch(f"pair {a} {b} is not a cusp-crossing pair")
-    z = LaurentPoly1.z
-    head, tail = letters[:site], letters[site + 2:]
-    if b.index == a.index - 1:
-        # l_{m+1} x_m -> l_m x_{m+1} + z [l_{m+1}] - z [l_m]
-        mu = a.index
-        out = WordExpr.single(FrontWord(head + (L(mu - 1), X(mu)) + tail))
-        out.add_term(FrontWord(head + (L(mu),) + tail), z(1))
-        out.add_term(FrontWord(head + (L(mu - 1),) + tail), z(1, -1))
-        return out
-    if b.index == a.index + 1:
-        # l_m x_{m+1} -> l_{m+1} x_m - z [l_{m+1}] + z [l_m]
-        mu = a.index
-        out = WordExpr.single(FrontWord(head + (L(mu + 1), X(mu)) + tail))
-        out.add_term(FrontWord(head + (L(mu + 1),) + tail), z(1, -1))
-        out.add_term(FrontWord(head + (L(mu),) + tail), z(1))
-        return out
-    raise PatternMismatch(f"pair {a} {b} does not match l_(m+1) x_m or l_m x_(m+1)")
-
-
-# ---------------------------------------------------------------------------
 # The reduction machine
 
 
@@ -341,36 +298,25 @@ class _Machine:
             }
         )
 
-    def _emit(self, coeff: LaurentPoly1, letters: list[Letter]) -> None:
-        self.sides.append((coeff, tuple(letters)))
+    # -- the skein relation, the only source of side words
 
-    # -- skein-move loops (side words keep the still-pending Y)
+    def _skein(self, d: int, times: int) -> None:
+        """Apply the skein relation to l_m x_(m+d), d = -1 or +1, ``times`` times.
 
-    def _skein_cascade_lo(self, count: int) -> None:
-        """count moves l_mu x_{mu-1} -> l_{mu-1} x_mu, emitting side words."""
+        x_(m+d) is the first crossing of run1 (d = -1) or run2 (d = +1).  The
+        side words z [X l_m rest] and -z [X l_(m+d) rest] go to ``sides``; the
+        main word is the normal form at cusp m+d, with the fired run one
+        crossing shorter and the other one crossing longer.
+        """
         z = LaurentPoly1.z
-        for _ in range(count):
-            mu = self.m
-            tail = [X(i) for i in range(mu - 2, mu - self.n1 - 1, -1)]
-            r2 = self._run2()
-            self._emit(z(1), self.X + [L(mu)] + tail + r2 + self.Y)
-            self._emit(z(1, -1), self.X + [L(mu - 1)] + tail + r2 + self.Y)
-            self.m -= 1
-            self.n1 -= 1
-            self.n2 += 1
-
-    def _skein_cascade_hi(self, count: int) -> None:
-        """count moves l_mu x_{mu+1} -> l_{mu+1} x_mu, emitting side words."""
-        z = LaurentPoly1.z
-        for _ in range(count):
-            mu = self.m
-            r1 = self._run1()
-            tail = [X(i) for i in range(mu + 2, mu + self.n2 + 1)]
-            self._emit(z(1, -1), self.X + [L(mu + 1)] + r1 + tail + self.Y)
-            self._emit(z(1), self.X + [L(mu)] + r1 + tail + self.Y)
-            self.m += 1
-            self.n2 -= 1
-            self.n1 += 1
+        for _ in range(times):
+            r1, r2 = self._run1(), self._run2()
+            rest = (r1[1:] + r2 if d < 0 else r1 + r2[1:]) + self.Y
+            self.sides.append((z(1), tuple(self.X + [L(self.m)] + rest)))
+            self.sides.append((z(1, -1), tuple(self.X + [L(self.m + d)] + rest)))
+            self.m += d
+            self.n1 += d
+            self.n2 -= d
 
     # -- the dispatch loop; returns ("zero",) or ("recurse", coeff, letters)
 
@@ -398,7 +344,7 @@ class _Machine:
             self.n1 += 1
             self._log("case1.grow-run1")
         elif i == m - n1 and n1 >= 1:
-            self._skein_cascade_lo(n1)
+            self._skein(-1, n1)
             self.Y.pop(0)
             # now cusp m-n1 with empty run1; finish with the Type 2 move
             self.m += 1
@@ -415,7 +361,7 @@ class _Machine:
             self.X.append(X(i - 1))
             self._log("case1.braid-slide-run2")
         elif i == m + n2 and n2 >= 1:
-            self._skein_cascade_hi(n2)
+            self._skein(+1, n2)
             self.Y.pop(0)
             self.m -= 1
             self.n1 -= 1
@@ -431,28 +377,23 @@ class _Machine:
         return None
 
     def _case1_sub5(self):
-        z = LaurentPoly1.z
-        m, n1, n2 = self.m, self.n1, self.n2
+        n1, n2 = self.n1, self.n2
         if n1 == 0 and n2 == 0:
             self._log("case1.zero-lx", terminal=True)
             return ("zero",)
-        self.Y.pop(0)
         if n2 == 0:
+            self.Y.pop(0)
             self.m -= 1
             self.n1 -= 1
             self._log("case1.type2-lo")
         elif n1 == 0:
+            self.Y.pop(0)
             self.m += 1
             self.n2 -= 1
             self._log("case1.type2-hi")
         else:
-            rest1 = [X(i) for i in range(m - 2, m - n1 - 1, -1)]
-            rest2 = [X(i) for i in range(m + 2, m + n2 + 1)]
-            self._emit(z(1), self.X + [L(m), X(m + 1), X(m)] + rest1 + rest2 + self.Y)
-            self._emit(z(1, -1), self.X + [L(m - 1), X(m + 1), X(m)] + rest1 + rest2 + self.Y)
-            self.m -= 1
-            self.n1 -= 1
-            self.n2 += 1
+            # the head x_m stays: it now lies inside run2 (see the module docstring)
+            self._skein(-1, 1)
             self._log("case1.skein-type3")
         return None
 
@@ -466,7 +407,7 @@ class _Machine:
             self.n_strands -= 2
             self._log("case2.absorb-below")
         elif i == m - n1 - 1:
-            self._skein_cascade_lo(n1)
+            self._skein(-1, n1)
             self._log("case2.skein-zigzag-lo", terminal=True)
             return ("zero",)
         elif i == m - n1 and n1 >= 1:
@@ -492,7 +433,7 @@ class _Machine:
             self._log("case2.zero-xr", terminal=True)
             return ("zero",)
         elif i == m + n2 + 1:
-            self._skein_cascade_hi(n2)
+            self._skein(+1, n2)
             self._log("case2.skein-zigzag-hi", terminal=True)
             return ("zero",)
         else:
@@ -503,30 +444,23 @@ class _Machine:
         return None
 
     def _case2_sub5(self):
-        z = LaurentPoly1.z
         m, n1, n2 = self.m, self.n1, self.n2
+        if n1 >= 1 and n2 >= 1:
+            # as in Type 3, the head r_m stays and now lies inside run2
+            self._skein(-1, 1)
+            self._log("case2.skein-type2")
+            return None
         self.Y.pop(0)
         if n1 == 0 and n2 == 0:
             self._log("case2.split-eye", terminal=True)
-            return ("recurse", z(-1), tuple(self.X + self.Y))
+            return ("recurse", LaurentPoly1.z(-1), tuple(self.X + self.Y))
         if n2 == 0:
             rest1 = [X(i) for i in range(m - 2, m - n1 - 1, -1)]
             self._log("case2.type1-lo", terminal=True)
             return ("recurse", LaurentPoly1.one(), tuple(self.X + rest1 + self.Y))
-        if n1 == 0:
-            rest2 = [X(i - 2) for i in range(m + 2, m + n2 + 1)]
-            self._log("case2.type1-hi", terminal=True)
-            return ("recurse", LaurentPoly1.one(), tuple(self.X + rest2 + self.Y))
-        rest1 = [X(i) for i in range(m - 2, m - n1 - 1, -1)]
         rest2 = [X(i - 2) for i in range(m + 2, m + n2 + 1)]
-        self._emit(z(1), self.X + [L(m), X(m + 1), R(m)] + rest1 + rest2 + self.Y)
-        self._emit(z(1, -1), self.X + [L(m - 1), X(m + 1), R(m)] + rest1 + rest2 + self.Y)
-        self.Y[0:0] = [R(m + 1)] + rest1 + rest2
-        self.m -= 1
-        self.n1 = 0
-        self.n2 = 0
-        self._log("case2.skein-type2")
-        return None
+        self._log("case2.type1-hi", terminal=True)
+        return ("recurse", LaurentPoly1.one(), tuple(self.X + rest2 + self.Y))
 
 
 class _Evaluator:
@@ -537,6 +471,12 @@ class _Evaluator:
         self.runs = 0
 
     def eval(self, letters: Letters) -> LaurentPoly1:
+        factors = _split_factors(letters)
+        if len(factors) > 1:
+            out = LaurentPoly1.z(1 - len(factors))
+            for f in factors:
+                out = out * self.eval(f)
+            return out
         key = None
         if self.memo is not None:
             key = canonicalize(FrontWord(letters)).letters if letters else ()
@@ -553,12 +493,6 @@ class _Evaluator:
         z = LaurentPoly1.z
         if not letters:
             return z(1)
-        factors = _split_factors(letters)
-        if len(factors) > 1:
-            out = z(-(len(factors) - 1))
-            for f in factors:
-                out = out * self.eval(f)
-            return out
         if _scan_zero(letters):
             return LaurentPoly1.zero()
         eye = _scan_eye(letters)
@@ -584,7 +518,7 @@ def evaluate_B(
     trace: list | None = None,
 ) -> LaurentPoly1:
     """Value of the ruling invariant computed purely by word rewriting."""
-    ev = _Evaluator(memo, fuel if fuel is not None else default_fuel(), trace)
+    ev = _Evaluator(memo, _DEFAULT_FUEL if fuel is None else fuel, trace)
     try:
         return ev.eval(word.letters)
     except RecursionError:

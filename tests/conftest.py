@@ -70,6 +70,28 @@ def random_front(rng: random.Random, max_len: int = 14, max_strands: int = 6) ->
         return None
 
 
+def closed_words(max_letters: int, max_strands: int) -> list[FrontWord]:
+    """Every valid closed word of at most ``max_letters`` letters on at most
+    ``max_strands`` strands, split unions included, in depth-first order."""
+    out: list[FrontWord] = []
+    prefix: list[Letter] = []
+
+    def dfs(n: int) -> None:
+        if n == 0 and prefix:
+            out.append(FrontWord(tuple(prefix)))
+        if len(prefix) == max_letters:
+            return
+        opts = [Letter("l", m) for m in range(1, n + 2)] if n + 2 <= max_strands else []
+        opts += [Letter(k, m) for k in "xr" for m in range(1, n)]
+        for let in opts:
+            prefix.append(let)
+            dfs(n + {"l": 2, "x": 0, "r": -2}[let.kind])
+            prefix.pop()
+
+    dfs(0)
+    return out
+
+
 def random_fronts(seed: int, count: int, **kw) -> list[FrontWord]:
     rng = random.Random(seed)
     out: list[FrontWord] = []

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from conftest import corpus_words, random_fronts, recursion_headroom
+from conftest import closed_words, corpus_words, random_fronts, recursion_headroom
 
-from frontinv.errors import FuelExhausted, PatternMismatch
+from frontinv.errors import FuelExhausted
 from frontinv.front import FrontWord, L, Letter, R, X, parse_front
-from frontinv.legskein import canonicalize, evaluate_B, skein_expand
+from frontinv.legskein import _Budget, _Machine, canonicalize, evaluate_B
 from frontinv.poly import LaurentPoly1, parse_poly1
 from frontinv.rulings import ruling_polynomial
 
@@ -101,50 +101,48 @@ def test_canonicalize_cusp_diamond():
     assert len(cs) == 1
 
 
-# -- skein_expand
+# -- the skein relation, checked on the sweep
 
 
-def test_skein_expand_shapes():
-    w = parse_front("l1 l2 x1 r1 r1")
-    expr = skein_expand(w, 1)  # pair l2 x1
-    assert len(expr.terms) == 3
-    crossing_counts = sorted(t.num_crossings for t in expr.terms)
-    assert crossing_counts == [0, 0, 1]
+def _sweep(letters) -> LaurentPoly1:
+    """The sweep's value of a word; the empty word evaluates to z."""
+    return ruling_polynomial(FrontWord(tuple(letters))) if letters else LaurentPoly1.z(1)
 
 
-def test_skein_expand_round_trip():
-    w = parse_front("l1 l2 x1 r1 r1")
-    expr = skein_expand(w, 1)
-    main = next(t for t in expr.terms if t.num_crossings == 1)
-    back = skein_expand(main, 1)
-    total = expr.substitute(main, back)
-    assert total.terms == {w: LaurentPoly1.one()}
-
-
-def test_skein_expand_rejects_bad_sites():
-    w = parse_front("l1 l2 x1 r1 r1")
-    with pytest.raises(PatternMismatch):
-        skein_expand(w, 0)  # l1 l2 is not a cusp-crossing pair
-    with pytest.raises(PatternMismatch):
-        skein_expand(w, 2)  # x1 r1
-    with pytest.raises(PatternMismatch):
-        skein_expand(parse_front("l1 l3 x1 r1 r1"), 1)  # l3 x1 has the wrong offset
-
-
-def test_skein_expand_preserves_value():
-    rng = random.Random(71)
+def test_skein_relation_on_sweep():
+    # l_mu x_(mu+d) = l_(mu+d) x_mu + z [l_mu] - z [l_(mu+d)], d = -1 or +1,
+    # with all three words built here from each cusp-crossing site
+    z = LaurentPoly1.z(1)
     checked = 0
     for w in random_fronts(seed=73, count=300, max_len=12):
         for site in range(len(w.letters) - 1):
             p, q = w.letters[site], w.letters[site + 1]
             if p.kind == "l" and q.kind == "x" and abs(p.index - q.index) == 1:
-                expr = skein_expand(w, site)
-                total = LaurentPoly1.zero()
-                for term, coeff in expr.terms.items():
-                    total = total + coeff * ruling_polynomial(term)
-                assert total == ruling_polynomial(w)
+                mu, d = p.index, q.index - p.index
+                head, tail = w.letters[:site], w.letters[site + 2:]
+                rhs = (
+                    _sweep(head + (L(mu + d), X(mu)) + tail)
+                    + z * _sweep(head + (L(mu),) + tail)
+                    - z * _sweep(head + (L(mu + d),) + tail)
+                )
+                assert rhs == _sweep(w.letters), (w.render(), site)
                 checked += 1
     assert checked >= 50
+
+
+def test_each_machine_run_preserves_value():
+    # one machine run rewrites its word into side words plus a remainder;
+    # the sweep must give both sides of that identity the same value
+    for word in closed_words(8, 4):
+        trace: list = []
+        machine = _Machine(word.letters, _Budget(10 ** 6), trace, 1)
+        result = machine.run()
+        total = LaurentPoly1.zero()
+        for coeff, side in machine.sides:
+            total = total + coeff * _sweep(side)
+        if result[0] == "recurse":
+            total = total + result[1] * _sweep(result[2])
+        assert total == _sweep(word.letters), (word.render(), [e["rule"] for e in trace])
 
 
 # -- evaluate_B
@@ -171,30 +169,76 @@ def test_matches_ruling_polynomial_on_random_fronts():
         assert evaluate_B(w) == ruling_polynomial(w), w.render()
 
 
+def test_matches_sweep_on_every_small_front():
+    # every closed word of <= 8 letters on <= 4 strands, split unions
+    # included; the smallest Type 3 fronts are among them
+    bad = [
+        w.render() for w in closed_words(8, 4) if evaluate_B(w, memo=False) != ruling_polynomial(w)
+    ]
+    assert not bad
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the smallest fronts that fire the Type 3 step
+        "l1 l2 x1 x3 x2 x1 r2 r1",
+        "l1 l2 x1 x3 x2 x3 r2 r1",
+        "l1 l2 x3 x1 x2 x1 r2 r1",
+        "l1 l2 x3 x1 x2 x3 r2 r1",
+        # 3-braid closures (x1 x2)^4, (x1 x2)^5, 1211212, 2111212, 2121212
+        "l1 l2 l3 x1 x2 x1 x2 x1 x2 x1 x2 r3 r2 r1",
+        "l1 l2 l3 x1 x2 x1 x2 x1 x2 x1 x2 x1 x2 r3 r2 r1",
+        "l1 l2 l3 x1 x2 x1 x1 x2 x1 x2 r3 r2 r1",
+        "l1 l2 l3 x2 x1 x1 x1 x2 x1 x2 r3 r2 r1",
+        "l1 l2 l3 x2 x1 x2 x1 x2 x1 x2 r3 r2 r1",
+    ],
+)
+def test_type3_fronts_with_memo(text):
+    w = parse_front(text)
+    assert evaluate_B(w, memo=True) == ruling_polynomial(w)
+
+
+def test_split_chain_of_eyes():
+    # the split rule applies before the memo lookup, so a chain costs one
+    # lookup per eye
+    for k in range(1, 9):
+        assert evaluate_B(parse_front(" ".join(["l1 r1"] * k))) == LaurentPoly1.z(1 - k)
+    trefoil_with_eyes = parse_front("l1 r1 l1 l3 x2 x2 x2 r1 r1 l1 r1 l1 r1")
+    assert evaluate_B(trefoil_with_eyes) == parse_poly1("z^-3") * parse_poly1("z^2 + 2")
+
+
 def test_memoization_soundness():
     for w in random_fronts(seed=83, count=30, max_len=12):
         assert evaluate_B(w, memo=True) == evaluate_B(w, memo=False)
 
 
 def test_trace_measure_monotone():
-    # within each machine run, (L, M) never increases across a rewriting
-    # step, and steps holding it fixed grow N1 + N2; terminal entries read a
-    # value off without rewriting and are exempt
-    for name, word in corpus_words():
+    # within each machine run, every rewriting step lowers the measure
+    # (L, M, -(N1 + N2), N1) lexicographically: (L, M) never increases, and
+    # steps holding it fixed grow N1 + N2 or, for a lone skein step, hold it
+    # and shorten run1; terminal entries read a value off without rewriting
+    # and are exempt.  The two extra words fire the lone skein steps.
+    def measure(e):
+        return (e["L"], e["M"], -(e["N1"] + e["N2"]), e["N1"])
+
+    words = [word for _, word in corpus_words()]
+    words += [parse_front("l1 l2 x1 x3 x2 x1 r2 r1"), parse_front("l1 l1 x2 x1 x1 x3 r2 r1")]
+    fired = set()
+    for word in words:
         trace: list = []
         evaluate_B(word, trace=trace)
+        fired |= {e["rule"] for e in trace}
         by_run: dict[int, list[dict]] = {}
         for entry in trace:
             by_run.setdefault(entry["run"], []).append(entry)
         for entries in by_run.values():
             for prev, cur in zip(entries, entries[1:]):
-                if cur["terminal"]:
-                    continue
-                assert (cur["L"], cur["M"]) <= (prev["L"], prev["M"])
-                if (cur["L"], cur["M"]) == (prev["L"], prev["M"]):
-                    assert cur["N1"] + cur["N2"] > prev["N1"] + prev["N2"]
+                if not cur["terminal"]:
+                    assert measure(cur) < measure(prev), (word.render(), cur["rule"])
         for e in trace:
             assert e["N1"] + e["N2"] <= e["N"] - 2
+    assert {"case1.skein-type3", "case2.skein-type2"} <= fired
 
 
 def test_fuel_budget_is_generous():
@@ -233,11 +277,3 @@ def test_mirrored_type2_word_identity():
 def test_empty_word_convention():
     # value(empty) = z keeps the split rule and the unknot value consistent
     assert evaluate_B(FrontWord(())) == LaurentPoly1.z(1)
-
-
-def test_fuel_env_variable(monkeypatch):
-    from frontinv.legskein import default_fuel
-
-    assert default_fuel() == 10 ** 6
-    monkeypatch.setenv("FRONTINV_LEGSKEIN_FUEL", "123")
-    assert default_fuel() == 123

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import corpus_words, random_fronts, recursion_headroom
+from conftest import closed_words, corpus_words, random_fronts, recursion_headroom
 
 from frontinv.cli import CROSSING_CAP
 from frontinv.diagram import (
@@ -195,6 +195,18 @@ def test_triangle_on_random_fronts():
         if len(orientations) <= 4:
             for of in orientations:
                 assert Q_of(of) == oriented_ruling_polynomial(of), w.render()
+
+
+def test_triangle_on_every_small_front():
+    # every closed word of <= 7 letters on <= 6 strands, split unions
+    # included: 4844 words and 19088 orientations
+    orientations = 0
+    for w in closed_words(7, 6):
+        assert B_of(w) == ruling_polynomial(w), w.render()
+        for of in all_orientations(w):
+            assert Q_of(of) == oriented_ruling_polynomial(of), (w.render(), of.choices)
+            orientations += 1
+    assert orientations == 19088
 
 
 def test_defining_relations_on_random_diagrams():
