@@ -135,47 +135,55 @@ def _switch(d: PlanarDiagram, c: int) -> PlanarDiagram:
 def _smooth(d: PlanarDiagram, c: int, pairs: tuple[tuple[int, int], tuple[int, int]]) -> PlanarDiagram:
     """Remove crossing ``c`` joining its places pairwise as given."""
     lo, hi = 4 * c, 4 * c + 4
-    hop: dict[int, int] = {}
+    old = d.nbr
+    hop = [0, 0, 0, 0]
     for i, j in pairs:
-        hop[lo + i], hop[lo + j] = lo + j, lo + i
-    nbr = list(d.nbr)
-    free_loops = d.free_loops
-    seen: set[int] = set()
-    # Walk the paths that leave the crossing first; ports left over lie on
-    # closed loops.
-    ends = [p for p in range(lo, hi) if not lo <= d.nbr[p] < hi]
-    for start in ends + [p for p in range(lo, hi) if p not in ends]:
-        if start in seen:
+        hop[i], hop[j] = j, i
+    done = [False, False, False, False]
+    nbr = list(old)
+    # Walk the paths that leave the crossing first: each joins two outside
+    # ports.  Places left over lie on closed loops.
+    for start in range(4):
+        if done[start] or lo <= old[lo + start] < hi:
             continue
-        p = start
+        i = start
         while True:
-            seen.update((p, hop[p]))
-            p = d.nbr[hop[p]]
+            j = hop[i]
+            done[i] = done[j] = True
+            p = old[lo + j]
             if not lo <= p < hi:
-                a = d.nbr[start]
+                a = old[lo + start]
                 nbr[a], nbr[p] = p, a
                 break
-            if p == start:
-                free_loops += 1
-                break
+            i = p - lo
+    free_loops = d.free_loops
+    for start in range(4):
+        if done[start]:
+            continue
+        free_loops += 1
+        i = start
+        while not done[i]:
+            j = hop[i]
+            done[i] = done[j] = True
+            i = old[lo + j] - lo
+    del nbr[lo:hi]
     return PlanarDiagram(
-        tuple(q - 4 if q >= hi else q for q in nbr[:lo] + nbr[hi:]),
+        tuple([q - 4 if q >= hi else q for q in nbr]),
         d.under02[:c] + d.under02[c + 1:],
-        frozenset(p - 4 if p >= hi else p for p in d.flow_in if not lo <= p < hi),
+        frozenset([p - 4 if p >= hi else p for p in d.flow_in if not lo <= p < hi]),
         free_loops,
     )
 
 
 def _find_kink(d: PlanarDiagram) -> tuple[int, int] | None:
-    """Smallest crossing with an arc joining two adjacent ports, with sign."""
-    for c in range(d.n_crossings):
-        for i in range(4):
-            j = (i + 1) % 4
-            if d.nbr[4 * c + i] == 4 * c + j:
-                q = d.view(c)
-                if {i, j} in ({q[0], q[1]}, {q[2], q[3]}):
-                    return c, 1
-                return c, -1
+    """Smallest crossing with an arc joining two adjacent ports, with sign.
+
+    The arc joins places ``i`` and ``i+1`` (counterclockwise); the kink is
+    positive when place ``i`` is on the under-strand.
+    """
+    for p, q in enumerate(d.nbr):
+        if q == (p & ~3) | ((p + 1) & 3):
+            return p >> 2, 1 if d.is_under_port(p) else -1
     return None
 
 
@@ -192,13 +200,15 @@ def _find_bigon(d: PlanarDiagram) -> tuple[int, int] | None:
     the two arcs bound a bigon face, and the strand through place ``i`` is
     under at both crossings (or over at both).
     """
-    nbr = d.nbr
-    for p in range(4 * d.n_crossings):
-        q = nbr[p]
-        if q // 4 <= p // 4 or d.is_under_port(p) != d.is_under_port(q):
-            continue
-        if nbr[p - p % 4 + (p + 1) % 4] == q - q % 4 + (q - 1) % 4:
-            return p // 4, q // 4
+    nbr, under = d.nbr, d.under02
+    for p, q in enumerate(nbr):
+        # The last test is d.is_under_port(p) == d.is_under_port(q), expanded.
+        if (
+            q >> 2 > p >> 2
+            and nbr[(p & ~3) | ((p + 1) & 3)] == (q & ~3) | ((q - 1) & 3)
+            and ((p & 1) == (q & 1)) == (under[p >> 2] == under[q >> 2])
+        ):
+            return p >> 2, q >> 2
     return None
 
 
@@ -229,35 +239,28 @@ def traverse(d: PlanarDiagram, use_flow: bool) -> Traversal:
     component, which keeps the walk stable under crossing switches.
     """
     n = d.n_crossings
-    consumed: set[int] = set()
+    nbr = d.nbr
+    consumed = [False] * (4 * n)
     comps: list[tuple[int, ...]] = []
     arrivals_of: list[list[int]] = [[] for _ in range(n)]
     comp_of: list[list[int]] = [[] for _ in range(n)]
 
     for start in range(4 * n):
-        if start in consumed:
+        if consumed[start] or (use_flow and start not in d.flow_in):
             continue
-        if use_flow and start not in d.flow_in:
-            continue
+        cid = len(comps)
         walk: list[int] = []
         p = start
         while True:
             walk.append(p)
-            consumed.add(p)
-            consumed.add(p ^ 2)
-            p = d.nbr[p ^ 2]
+            consumed[p] = consumed[p ^ 2] = True
+            arrivals_of[p >> 2].append(p)
+            comp_of[p >> 2].append(cid)
+            p = nbr[p ^ 2]
             if p == start:
                 break
-        cid = len(comps)
         comps.append(tuple(walk))
-        for p in walk:
-            arrivals_of[p // 4].append(p)
-            comp_of[p // 4].append(cid)
-    return Traversal(
-        tuple(comps),
-        tuple(tuple(ids) for ids in comp_of),
-        tuple(tuple(ports) for ports in arrivals_of),
-    )
+    return Traversal(tuple(comps), tuple(map(tuple, comp_of)), tuple(map(tuple, arrivals_of)))
 
 
 def sign_from_arrivals(d: PlanarDiagram, c: int, arrivals: tuple[int, ...]) -> int:

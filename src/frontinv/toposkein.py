@@ -55,10 +55,6 @@ _DELTA_H = _A(-1, 1) - _A(-1, -1)          # (a - a^-1) / z
 _DELTA_D = _DELTA_H + LaurentPoly2.one()   # (a - a^-1) / z + 1
 
 
-def _a_power(k: int) -> LaurentPoly2:
-    return _A(0, k)
-
-
 # ---------------------------------------------------------------------------
 # Skein recursion
 
@@ -86,7 +82,7 @@ def _descending_value(d: PlanarDiagram, use_flow: bool, delta: LaurentPoly2) -> 
         if comps[0] == comps[1]:
             exponent += sign_from_arrivals(d, c, trav.arrivals[c])
     k = len(trav.components) + d.free_loops
-    return _a_power(exponent) * delta ** (k - 1)
+    return (delta ** (k - 1)).shift(0, exponent)
 
 
 class _SkeinEngine:
@@ -97,7 +93,6 @@ class _SkeinEngine:
         self.memo: dict | None = {} if memo else None
         self.heuristic = heuristic
         self.delta = _DELTA_H if homfly else _DELTA_D
-        self.z = LaurentPoly2.monomial(1, 0)
 
     def eval(self, d: PlanarDiagram) -> LaurentPoly2:
         if d.n_crossings == 0:
@@ -117,7 +112,7 @@ class _SkeinEngine:
         kink = _find_kink(d)
         if kink is not None:
             c, sign = kink
-            return _a_power(sign) * self.eval(_strip_kink(d, c))
+            return self.eval(_strip_kink(d, c)).shift(0, sign)
         bigon = _find_bigon(d)
         if bigon is not None:
             return self.eval(_strip_bigon(d, *bigon))
@@ -131,14 +126,12 @@ class _SkeinEngine:
         if self.homfly:
             eps = crossing_sign(d, c)
             oriented_pairs = pairs_a if eps == 1 else pairs_b
-            return self.eval(_switch(d, c)) + eps * self.z * self.eval(
+            return self.eval(_switch(d, c)) + self.eval(
                 _smooth(d, c, oriented_pairs)
-            )
-        return (
-            self.eval(_switch(d, c))
-            + self.z * self.eval(_smooth(d, c, pairs_a))
-            - self.z * self.eval(_smooth(d, c, pairs_b))
-        )
+            ).shift(1, 0) * eps
+        return self.eval(_switch(d, c)) + (
+            self.eval(_smooth(d, c, pairs_a)) - self.eval(_smooth(d, c, pairs_b))
+        ).shift(1, 0)
 
 
 def _run(engine: _SkeinEngine, d: PlanarDiagram) -> LaurentPoly2:

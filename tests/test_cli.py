@@ -7,7 +7,7 @@ import pytest
 
 from conftest import CORPUS, corpus_words
 
-from frontinv import toposkein
+from frontinv import cli, toposkein
 from frontinv.cli import main
 from frontinv.front import components
 
@@ -126,7 +126,7 @@ def test_verify_corollaries(capsys):
 
 
 def test_verify_evaluates_each_polynomial_once(capsys, monkeypatch):
-    calls = {"D": 0, "H": 0}
+    calls = {"D": 0, "H": 0, "OR": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kw):
@@ -136,13 +136,32 @@ def test_verify_evaluates_each_polynomial_once(capsys, monkeypatch):
 
     monkeypatch.setattr(toposkein, "kauffman_D", counting("D", toposkein.kauffman_D))
     monkeypatch.setattr(toposkein, "homfly_H", counting("H", toposkein.homfly_H))
+    monkeypatch.setattr(
+        cli, "oriented_ruling_polynomial", counting("OR", cli.oriented_ruling_polynomial)
+    )
     code, _, _ = run_cli(capsys, "verify", str(CORPUS))
     assert code == 0
     counts = [components(word).n_components for _, word in corpus_words()]
-    # one D per front; one H per orientation checked (2^k for k <= 2), else
-    # the single H that the sharpness report needs
+    # one D per front; for k <= 2 components, one H and one oriented sweep per
+    # pair of orientations that differ by a global reversal (2^(k-1) pairs),
+    # else only the H that the sharpness report needs
     assert calls["D"] == len(counts)
-    assert calls["H"] == sum(2 ** k if k <= 2 else 1 for k in counts)
+    assert calls["H"] == sum(2 ** (k - 1) if k <= 2 else 1 for k in counts)
+    assert calls["OR"] == sum(2 ** (k - 1) if k <= 2 else 0 for k in counts)
+
+
+def test_verify_timings_field(capsys):
+    _, plain, _ = run_cli(capsys, "verify", str(CORPUS), "--theorem", "4.1")
+    _, timed, _ = run_cli(capsys, "verify", str(CORPUS), "--theorem", "4.1", "--timings")
+    plain, timed = json.loads(plain), json.loads(timed)
+    assert all("ms" not in rec for rec in plain["fronts"].values())
+    for rec in timed["fronts"].values():
+        ms = rec.pop("ms")
+        assert set(ms) == {"sweep", "rewrite", "skein", "total"}
+        assert all(v >= 0 for v in ms.values())
+        assert ms["sweep"] + ms["rewrite"] + ms["skein"] <= ms["total"] + 0.25
+    # without the field, a timed report is the untimed one
+    assert timed == plain
 
 
 def test_verify_deterministic(capsys):

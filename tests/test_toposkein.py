@@ -209,6 +209,30 @@ def test_triangle_on_every_small_front():
     assert orientations == 19088
 
 
+def _check_reversal_pairs(words) -> int:
+    pairs = 0
+    for w in words:
+        for of in all_orientations(w):
+            if not of.choices[0]:
+                continue
+            rev = orient(w, {cid: not c for cid, c in enumerate(of.choices, start=1)})
+            assert homfly_H(from_oriented_front(of)) == homfly_H(from_oriented_front(rev)), (
+                w.render(), of.choices)
+            assert oriented_ruling_polynomial(of) == oriented_ruling_polynomial(rev), (
+                w.render(), of.choices)
+            pairs += 1
+    return pairs
+
+
+def test_global_reversal_invariance():
+    # `frontinv verify` evaluates H and the oriented sweep once per pair of
+    # orientations that differ by reversing every component; both must agree
+    # on the two.  Each pair is checked once, from its orientation with
+    # choices[0] true.
+    assert _check_reversal_pairs(closed_words(7, 6)) == 9544
+    assert _check_reversal_pairs(w for _, w in corpus_words()) > 0
+
+
 def test_defining_relations_on_random_diagrams():
     # switch-smooth identities at every crossing of diagrams derived from
     # random fronts with random crossing switches applied
