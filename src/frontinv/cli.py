@@ -146,12 +146,15 @@ def _verify_front(word: FrontWord, flags, timings: bool) -> dict:
         return value
 
     t0 = time.perf_counter()
-    inv = invariants(_oriented(word, flags))
+    # all_orientations lists the default orientation first.
+    orientations = all_orientations(word) if components(word).n_components <= 2 else None
+    default = orientations[0] if orientations else orient(word)
+    inv = invariants(_oriented(word, flags) if flags else default)
     R = timed("sweep", ruling_polynomial, word)
     B_leg = timed("rewrite", evaluate_B, word)
     # One skein tree per polynomial: the report's B and Q are [a^(c-1)] of D
     # and of H under the default orientation.
-    rep = timed("skein", sharpness, orient(word))
+    rep = timed("skein", sharpness, default)
     record: dict = {
         "beta": inv.beta,
         "R": render_poly1(R),
@@ -161,13 +164,12 @@ def _verify_front(word: FrontWord, flags, timings: bool) -> dict:
         "kauffman_sharp": rep.kauffman_sharp,
         "homfly_sharp": rep.homfly_sharp,
     }
-    if components(word).n_components <= 2:
+    if orientations:
         # Reversing every component changes neither H (HOMFLY is invariant
         # under global reversal, and the writhe is unchanged) nor the oriented
         # ruling polynomial (the sweep reads directions only by comparing two
         # strands').  So each reversal pair is evaluated once, on the
         # orientation with choices[0] true.
-        orientations = all_orientations(word)
         by_choices = {of.choices: of for of in orientations}
         values: dict = {}
         oriented_records = []

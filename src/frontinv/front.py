@@ -67,8 +67,11 @@ def _letter_from_token(tok: str, line: int, col: int) -> Letter:
     return Letter(kind, index)
 
 
+_LETTER_DELTA = {"l": 2, "x": 0, "r": -2}
+
+
 def letter_delta(kind: str) -> int:
-    return {"l": 2, "x": 0, "r": -2}[kind]
+    return _LETTER_DELTA[kind]
 
 
 def _check_letter(letter: Letter, n: int) -> bool:

@@ -53,11 +53,14 @@ twin before r_m) holds M and N1 + N2 and shortens run1.  Since
 N1 + N2 <= N - 2, the walk terminates; a fuel counter guards against
 implementation bugs.
 
-A split union is a product of its factors (split rule) before any memo
-lookup, so a chain of eyes costs one lookup per factor.  Words equal up to
-planar-isotopy commutations share a canonical form, used as the memoization
-key of each factor.  The empty word evaluates to z, which makes the split
-rule and the unknot value consistent.
+Each word meets the rules in a fixed order, all read off its raw letters:
+the split rule (a split union is the product of its factors), then the
+empty word (value z, which makes the split rule and the unknot value
+consistent), then a zero pattern, then an eye l_m r_m (removed with a
+factor z^-1).  Only a word that none of them decides gets a memo key and,
+on a miss, a machine run.  So a chain of eyes costs one lookup per factor,
+and the memo holds only words the machine runs on.  Words equal up to
+planar-isotopy commutations share a canonical form, which is the key.
 """
 
 from __future__ import annotations
@@ -471,15 +474,24 @@ class _Evaluator:
         self.runs = 0
 
     def eval(self, letters: Letters) -> LaurentPoly1:
+        # The split, empty, zero and eye rules read the raw letters, so only
+        # words that the machine must run on reach the memo key.
         factors = _split_factors(letters)
         if len(factors) > 1:
             out = LaurentPoly1.z(1 - len(factors))
             for f in factors:
                 out = out * self.eval(f)
             return out
+        if not letters:
+            return LaurentPoly1.z(1)
+        if _scan_zero(letters):
+            return LaurentPoly1.zero()
+        eye = _scan_eye(letters)
+        if eye is not None:
+            return LaurentPoly1.z(-1) * self.eval(letters[:eye] + letters[eye + 2:])
         key = None
         if self.memo is not None:
-            key = canonicalize(FrontWord(letters)).letters if letters else ()
+            key = canonicalize(FrontWord(letters)).letters
             cached = self.memo.get(key)
             if cached is not None:
                 return cached
@@ -490,14 +502,6 @@ class _Evaluator:
         return value
 
     def _compute(self, letters: Letters) -> LaurentPoly1:
-        z = LaurentPoly1.z
-        if not letters:
-            return z(1)
-        if _scan_zero(letters):
-            return LaurentPoly1.zero()
-        eye = _scan_eye(letters)
-        if eye is not None:
-            return z(-1) * self.eval(letters[:eye] + letters[eye + 2:])
         self.runs += 1
         machine = _Machine(letters, self.budget, self.trace, self.runs)
         result = machine.run()

@@ -8,7 +8,8 @@ from conftest import closed_words, corpus_words, random_fronts, recursion_headro
 
 from frontinv.errors import FuelExhausted
 from frontinv.front import FrontWord, L, Letter, R, X, parse_front
-from frontinv.legskein import _Budget, _Machine, canonicalize, evaluate_B
+from frontinv import legskein
+from frontinv.legskein import _Budget, _Machine, _scan_eye, _scan_zero, canonicalize, evaluate_B
 from frontinv.poly import LaurentPoly1, parse_poly1
 from frontinv.rulings import ruling_polynomial
 
@@ -173,9 +174,32 @@ def test_matches_sweep_on_every_small_front():
     # every closed word of <= 8 letters on <= 4 strands, split unions
     # included; the smallest Type 3 fronts are among them
     bad = [
-        w.render() for w in closed_words(8, 4) if evaluate_B(w, memo=False) != ruling_polynomial(w)
+        (w.render(), memo)
+        for w in closed_words(8, 4)
+        for memo in (False, True)
+        if evaluate_B(w, memo=memo) != ruling_polynomial(w)
     ]
     assert not bad
+
+
+def test_memo_key_built_only_for_machine_words(monkeypatch):
+    # the empty, zero and eye rules read the raw letters before the memo key
+    # is built, so canonicalize never sees a word that they decide
+    seen = []
+
+    def recording(word):
+        seen.append(word.letters)
+        return canonicalize(word)
+
+    monkeypatch.setattr(legskein, "canonicalize", recording)
+    for w in closed_words(7, 4):
+        evaluate_B(w)
+    assert seen
+    assert not [
+        FrontWord(s).render()
+        for s in seen
+        if not s or _scan_zero(s) or _scan_eye(s) is not None
+    ]
 
 
 @pytest.mark.parametrize(

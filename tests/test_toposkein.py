@@ -197,16 +197,26 @@ def test_triangle_on_random_fronts():
                 assert Q_of(of) == oriented_ruling_polynomial(of), w.render()
 
 
-def test_triangle_on_every_small_front():
-    # every closed word of <= 7 letters on <= 6 strands, split unions
-    # included: 4844 words and 19088 orientations
+def _check_triangle(words) -> int:
     orientations = 0
-    for w in closed_words(7, 6):
+    for w in words:
         assert B_of(w) == ruling_polynomial(w), w.render()
         for of in all_orientations(w):
             assert Q_of(of) == oriented_ruling_polynomial(of), (w.render(), of.choices)
             orientations += 1
-    assert orientations == 19088
+    return orientations
+
+
+def test_triangle_on_every_small_front():
+    # every closed word of <= 7 letters on <= 6 strands, split unions
+    # included: 4844 words and 19088 orientations
+    assert _check_triangle(closed_words(7, 6)) == 19088
+
+
+@pytest.mark.slow
+def test_triangle_on_every_8_letter_front():
+    # the same census one letter longer (run with `pytest -m slow`)
+    assert _check_triangle(closed_words(8, 6)) == 214294
 
 
 def _check_reversal_pairs(words) -> int:
