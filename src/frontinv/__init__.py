@@ -24,7 +24,7 @@ from .front import (  # noqa: F401
 )
 from .diagram import from_oriented_front, pd_export, pd_import  # noqa: F401
 from .legskein import canonicalize, evaluate_B  # noqa: F401
-from .poly import LaurentPoly1, LaurentPoly2, NEG_INFINITY, coeff_a, deg_a  # noqa: F401
+from .poly import LaurentPoly, NEG_INFINITY, coeff_a, deg_a  # noqa: F401
 from .rulings import (  # noqa: F401
     enumerate_rulings,
     enumerate_rulings_bruteforce,

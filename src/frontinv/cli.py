@@ -29,21 +29,10 @@ from .front import (
     stabilize,
 )
 from .legskein import evaluate_B
-from .poly import render_poly1, render_poly2
 from .rulings import enumerate_rulings, oriented_ruling_polynomial, ruling_polynomial
 from .toposkein import B_of, Q_of, homfly_H, kauffman_D, sharpness
 
 CROSSING_CAP = 14
-
-
-def _load_front(path: str):
-    text = Path(path).read_text()
-    word, flags = parse_front_file(text)
-    return word, flags
-
-
-def _oriented(word: FrontWord, flags):
-    return orient(word, flags or None)
 
 
 def _emit(obj) -> None:
@@ -58,7 +47,7 @@ def _check_cap(n_crossings: int, force: bool) -> None:
 
 
 def cmd_validate(args) -> int:
-    word, flags = _load_front(args.path)
+    word, flags = parse_front_file(Path(args.path).read_text())
     _emit(
         {
             "ok": True,
@@ -73,25 +62,21 @@ def cmd_validate(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    word, flags = _load_front(args.path)
-    _emit(invariants(_oriented(word, flags)).as_dict())
+    word, flags = parse_front_file(Path(args.path).read_text())
+    _emit(invariants(orient(word, flags)).as_dict())
     return 0
 
 
 def cmd_rulings(args) -> int:
-    word, flags = _load_front(args.path)
-    of = _oriented(word, flags)
-    poly = (
-        oriented_ruling_polynomial(of) if args.oriented else ruling_polynomial(word)
-    )
+    word, flags = parse_front_file(Path(args.path).read_text())
+    of = orient(word, flags) if args.oriented else None
+    poly = ruling_polynomial(word) if of is None else oriented_ruling_polynomial(of)
     out = {
         "count": sum(poly.terms.values()),
-        "polynomial": render_poly1(poly),
+        "polynomial": str(poly),
     }
     if args.list:
-        rulings = enumerate_rulings(
-            word, oriented=args.oriented, oriented_front=of if args.oriented else None
-        )
+        rulings = enumerate_rulings(word, of)
         out["rulings"] = sorted([list(r.switches) for r in rulings])
     _emit(out)
     return 0
@@ -102,34 +87,34 @@ def cmd_poly(args) -> int:
         d = pd_import(Path(args.path).read_text())
         _check_cap(d.n_crossings, args.force)
         if args.which == "kauffman":
-            _emit({"kauffman": render_poly2(kauffman_D(d))})
+            _emit({"kauffman": str(kauffman_D(d))})
             return 0
         if args.which == "homfly":
-            _emit({"homfly": render_poly2(homfly_H(d))})
+            _emit({"homfly": str(homfly_H(d))})
             return 0
         raise FrontError(f"--which {args.which} needs a .front input")
-    word, flags = _load_front(args.path)
+    word, flags = parse_front_file(Path(args.path).read_text())
     _check_cap(word.num_crossings, args.force)
-    of = _oriented(word, flags)
+    of = orient(word, flags)
     if args.which == "ruling":
-        out = render_poly1(ruling_polynomial(word))
+        out = str(ruling_polynomial(word))
     elif args.which == "oruling":
-        out = render_poly1(oriented_ruling_polynomial(of))
+        out = str(oriented_ruling_polynomial(of))
     elif args.which == "B-leg":
         trace = [] if args.trace else None
-        out = render_poly1(evaluate_B(word, trace=trace))
+        out = str(evaluate_B(word, trace=trace))
         if args.trace:
             with open(args.trace, "w") as fh:
                 for entry in trace:
                     fh.write(json.dumps(entry, sort_keys=True) + "\n")
     elif args.which == "B-topo":
-        out = render_poly1(B_of(of))
+        out = str(B_of(of))
     elif args.which == "Q":
-        out = render_poly1(Q_of(of))
+        out = str(Q_of(of))
     elif args.which == "kauffman":
-        out = render_poly2(kauffman_D(from_oriented_front(of)))
+        out = str(kauffman_D(from_oriented_front(of)))
     elif args.which == "homfly":
-        out = render_poly2(homfly_H(from_oriented_front(of)))
+        out = str(homfly_H(from_oriented_front(of)))
     else:
         raise FrontError(f"unknown polynomial {args.which!r}")
     _emit({args.which: out})
@@ -149,17 +134,16 @@ def _verify_front(word: FrontWord, flags, timings: bool) -> dict:
     # all_orientations lists the default orientation first.
     orientations = all_orientations(word) if components(word).n_components <= 2 else None
     default = orientations[0] if orientations else orient(word)
-    inv = invariants(_oriented(word, flags) if flags else default)
     R = timed("sweep", ruling_polynomial, word)
     B_leg = timed("rewrite", evaluate_B, word)
     # One skein tree per polynomial: the report's B and Q are [a^(c-1)] of D
     # and of H under the default orientation.
     rep = timed("skein", sharpness, default)
     record: dict = {
-        "beta": inv.beta,
-        "R": render_poly1(R),
-        "B_leg": render_poly1(B_leg),
-        "B_topo": render_poly1(rep.B),
+        "beta": invariants(orient(word, flags)).beta if flags else rep.beta,
+        "R": str(R),
+        "B_leg": str(B_leg),
+        "B_topo": str(rep.B),
         "agree_3_1": R == B_leg == rep.B,
         "kauffman_sharp": rep.kauffman_sharp,
         "homfly_sharp": rep.homfly_sharp,
@@ -186,8 +170,8 @@ def _verify_front(word: FrontWord, flags, timings: bool) -> dict:
             oriented_records.append(
                 {
                     "choices": "".join("+" if c else "-" for c in of.choices),
-                    "OR": render_poly1(OR),
-                    "Q": render_poly1(Q),
+                    "OR": str(OR),
+                    "Q": str(Q),
                 }
             )
         record["oriented"] = oriented_records
@@ -237,7 +221,7 @@ def _parse_move(text: str) -> Move:
 
 
 def cmd_moves(args) -> int:
-    word, _ = _load_front(args.path)
+    word, _ = parse_front_file(Path(args.path).read_text())
     if args.apply:
         mv = _parse_move(args.apply)
         word = apply_move(word, mv.rule, mv.site, inverse=mv.inverse, m=mv.m)
@@ -250,7 +234,7 @@ def cmd_moves(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
-    word, _ = _load_front(args.path)
+    word, _ = parse_front_file(Path(args.path).read_text())
     gap, _, pos = args.site.partition(":")
     word = stabilize(word, int(gap), int(pos), args.flavor)
     _emit({"front": word.render()})
@@ -258,8 +242,8 @@ def cmd_stabilize(args) -> int:
 
 
 def cmd_pd(args) -> int:
-    word, flags = _load_front(args.path)
-    sys.stdout.write(pd_export(from_oriented_front(_oriented(word, flags))))
+    word, flags = parse_front_file(Path(args.path).read_text())
+    sys.stdout.write(pd_export(from_oriented_front(orient(word, flags))))
     return 0
 
 
@@ -324,8 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built once: building it costs about 40 times as much as parsing one command
+# line, and a program may call main many times.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except FrontError as exc:

@@ -69,7 +69,7 @@ import sys
 
 from .errors import FuelExhausted, InternalInconsistency
 from .front import FrontWord, L, Letter, R, X, letter_delta, swap_adjacent_all
-from .poly import LaurentPoly1
+from .poly import LaurentPoly
 
 Letters = tuple[Letter, ...]
 
@@ -264,7 +264,7 @@ class _Machine:
         self.n2 = 0
         self.Y = list(letters[t0 + 1:])
         self.L_count = sum(1 for let in letters if let.kind == "l")
-        self.sides: list[tuple[LaurentPoly1, Letters]] = []
+        self.sides: list[tuple[LaurentPoly, Letters]] = []
         self.budget = budget
         self.trace = trace
         self.run_id = run_id
@@ -311,12 +311,12 @@ class _Machine:
         main word is the normal form at cusp m+d, with the fired run one
         crossing shorter and the other one crossing longer.
         """
-        z = LaurentPoly1.z
+        z = LaurentPoly.monomial
         for _ in range(times):
             r1, r2 = self._run1(), self._run2()
             rest = (r1[1:] + r2 if d < 0 else r1 + r2[1:]) + self.Y
             self.sides.append((z(1), tuple(self.X + [L(self.m)] + rest)))
-            self.sides.append((z(1, -1), tuple(self.X + [L(self.m + d)] + rest)))
+            self.sides.append((z(1, 0, -1), tuple(self.X + [L(self.m + d)] + rest)))
             self.m += d
             self.n1 += d
             self.n2 -= d
@@ -456,39 +456,39 @@ class _Machine:
         self.Y.pop(0)
         if n1 == 0 and n2 == 0:
             self._log("case2.split-eye", terminal=True)
-            return ("recurse", LaurentPoly1.z(-1), tuple(self.X + self.Y))
+            return ("recurse", LaurentPoly.monomial(-1), tuple(self.X + self.Y))
         if n2 == 0:
             rest1 = [X(i) for i in range(m - 2, m - n1 - 1, -1)]
             self._log("case2.type1-lo", terminal=True)
-            return ("recurse", LaurentPoly1.one(), tuple(self.X + rest1 + self.Y))
+            return ("recurse", LaurentPoly.one(), tuple(self.X + rest1 + self.Y))
         rest2 = [X(i - 2) for i in range(m + 2, m + n2 + 1)]
         self._log("case2.type1-hi", terminal=True)
-        return ("recurse", LaurentPoly1.one(), tuple(self.X + rest2 + self.Y))
+        return ("recurse", LaurentPoly.one(), tuple(self.X + rest2 + self.Y))
 
 
 class _Evaluator:
     def __init__(self, memo: bool, fuel: int, trace):
-        self.memo: dict[Letters, LaurentPoly1] | None = {} if memo else None
+        self.memo: dict[Letters, LaurentPoly] | None = {} if memo else None
         self.budget = _Budget(fuel)
         self.trace = trace
         self.runs = 0
 
-    def eval(self, letters: Letters) -> LaurentPoly1:
+    def eval(self, letters: Letters) -> LaurentPoly:
         # The split, empty, zero and eye rules read the raw letters, so only
         # words that the machine must run on reach the memo key.
         factors = _split_factors(letters)
         if len(factors) > 1:
-            out = LaurentPoly1.z(1 - len(factors))
+            out = LaurentPoly.monomial(1 - len(factors))
             for f in factors:
                 out = out * self.eval(f)
             return out
         if not letters:
-            return LaurentPoly1.z(1)
+            return LaurentPoly.monomial(1)
         if _scan_zero(letters):
-            return LaurentPoly1.zero()
+            return LaurentPoly.zero()
         eye = _scan_eye(letters)
         if eye is not None:
-            return LaurentPoly1.z(-1) * self.eval(letters[:eye] + letters[eye + 2:])
+            return LaurentPoly.monomial(-1) * self.eval(letters[:eye] + letters[eye + 2:])
         key = None
         if self.memo is not None:
             key = canonicalize(FrontWord(letters)).letters
@@ -501,11 +501,11 @@ class _Evaluator:
             self.memo[key] = value
         return value
 
-    def _compute(self, letters: Letters) -> LaurentPoly1:
+    def _compute(self, letters: Letters) -> LaurentPoly:
         self.runs += 1
         machine = _Machine(letters, self.budget, self.trace, self.runs)
         result = machine.run()
-        total = LaurentPoly1.zero()
+        total = LaurentPoly.zero()
         for coeff, side in machine.sides:
             total = total + coeff * self.eval(side)
         if result[0] == "recurse":
@@ -520,7 +520,7 @@ def evaluate_B(
     memo: bool = True,
     fuel: int | None = None,
     trace: list | None = None,
-) -> LaurentPoly1:
+) -> LaurentPoly:
     """Value of the ruling invariant computed purely by word rewriting."""
     ev = _Evaluator(memo, _DEFAULT_FUEL if fuel is None else fuel, trace)
     try:

@@ -1,20 +1,31 @@
-"""Exact sparse Laurent polynomials over the integers.
+"""Exact sparse Laurent polynomials in ``z`` and ``a`` over the integers.
 
-Two flavours are provided: :class:`LaurentPoly1` in the single variable ``z``
-and :class:`LaurentPoly2` in ``(z, a)``.  Coefficients are Python ints, so
+One class, :class:`LaurentPoly`, serves both the one-variable polynomials in
+``z`` (ruling polynomials, B and Q) and the two-variable ones in ``(z, a)``
+(the Dubrovnik and HOMFLY polynomials).  Coefficients are Python ints, so
 arithmetic is exact at any size.  Values are immutable and hashable; the zero
 polynomial is the empty term map, and ``deg_a`` of the zero polynomial is the
 distinguished :data:`NEG_INFINITY` marker rather than a sentinel integer.
 
+Key layout: the term map is ``dict[int, int]``, and the term z^i a^j has the
+key ``i + j * 2**32``.  Multiplying monomials adds their keys, so products and
+shifts are integer additions, and a polynomial with no ``a`` term is keyed by
+its z-exponents alone.  Both exponents must satisfy ``|e| < 2**31``; the
+parsers reject text outside that bound.  A key decodes as
+``z = ((k + 2**31) mod 2**32) - 2**31`` and ``a = (k - z) / 2**32``.
+
 Canonical text rendering sorts terms by a-exponent descending, then
-z-exponent descending (z-exponent only for the one-variable flavour), e.g.
-``z^-1*a + 1 - z^-1*a^-1``.  The same grammar is accepted by the parsers.
+z-exponent descending, e.g. ``z^-1*a + 1 - z^-1*a^-1``; with no ``a`` term
+that is the z-exponent order.  The same grammar is accepted by the parsers.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
+
+_A = 1 << 32          # key step of one power of a
+_HALF = 1 << 31       # exponents lie strictly between -_HALF and _HALF
 
 
 class _NegInfinity:
@@ -52,33 +63,39 @@ class _NegInfinity:
 NEG_INFINITY = _NegInfinity()
 
 
-def _clean(terms: Mapping) -> dict:
-    return {k: c for k, c in terms.items() if c != 0}
+def _decode(key: int) -> tuple[int, int]:
+    """(z-exponent, a-exponent) of a packed key."""
+    z = ((key + _HALF) & (_A - 1)) - _HALF
+    return z, (key - z) >> 32
 
 
-class LaurentPoly1:
-    """Integer Laurent polynomial in ``z``; term map z-exponent -> coefficient."""
+class LaurentPoly:
+    """Integer Laurent polynomial in ``(z, a)``; term map packed key -> coefficient."""
 
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        self._terms = _clean(terms or {})
+        self._terms = {k: c for k, c in (terms or {}).items() if c != 0}
         self._hash = None
 
     @classmethod
-    def zero(cls) -> "LaurentPoly1":
+    def zero(cls) -> "LaurentPoly":
         return cls()
 
     @classmethod
-    def one(cls) -> "LaurentPoly1":
+    def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
     @classmethod
-    def z(cls, exp: int = 1, coeff: int = 1) -> "LaurentPoly1":
-        return cls({exp: coeff})
+    def monomial(cls, z: int = 0, a: int = 0, c: int = 1) -> "LaurentPoly":
+        """c * z**z * a**a."""
+        return cls({z + a * _A: c})
 
     @property
-    def terms(self) -> dict:
+    def terms(self) -> dict[int, int]:
+        """z-exponent -> coefficient; ValueError if the polynomial has an a term."""
+        if any(not -_HALF <= k < _HALF for k in self._terms):
+            raise ValueError(f"{self} has an a term; read it with coeff_a or deg_a")
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -88,7 +105,7 @@ class LaurentPoly1:
         return bool(self._terms)
 
     def __eq__(self, other):
-        if not isinstance(other, LaurentPoly1):
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._terms == other._terms
 
@@ -97,146 +114,76 @@ class LaurentPoly1:
             self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
-    def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly1(out)
-
-    def __neg__(self) -> "LaurentPoly1":
-        return LaurentPoly1({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        return self + (-other)
-
-    def __mul__(self, other: Union["LaurentPoly1", int]) -> "LaurentPoly1":
-        if isinstance(other, int):
-            return LaurentPoly1({e: c * other for e, c in self._terms.items()})
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly1(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, dz: int) -> "LaurentPoly1":
-        """Multiply by z**dz."""
-        return LaurentPoly1({e + dz: c for e, c in self._terms.items()})
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly1({self})"
-
-    def __str__(self) -> str:
-        return render_poly1(self)
-
-
-class LaurentPoly2:
-    """Integer Laurent polynomial in ``(z, a)``; keys are (z-exp, a-exp)."""
-
-    __slots__ = ("_terms", "_hash")
-
-    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        self._terms = _clean(terms or {})
-        self._hash = None
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly2":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly2":
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def monomial(cls, z_exp: int = 0, a_exp: int = 0, coeff: int = 1) -> "LaurentPoly2":
-        return cls({(z_exp, a_exp): coeff})
-
-    @classmethod
-    def from_poly1(cls, p: LaurentPoly1) -> "LaurentPoly2":
-        return cls({(e, 0): c for e, c in p.terms.items()})
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
-
-    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self._terms)
         for k, c in other._terms.items():
             out[k] = out.get(k, 0) + c
-        return LaurentPoly2(out)
+        return LaurentPoly(out)
 
-    def __neg__(self) -> "LaurentPoly2":
-        return LaurentPoly2({k: -c for k, c in self._terms.items()})
+    def __neg__(self) -> "LaurentPoly":
+        return LaurentPoly({k: -c for k, c in self._terms.items()})
 
-    def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def __mul__(self, other: Union["LaurentPoly2", int]) -> "LaurentPoly2":
+    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly2({k: c * other for k, c in self._terms.items()})
-        out: dict[tuple[int, int], int] = {}
-        for (z1, a1), c1 in self._terms.items():
-            for (z2, a2), c2 in other._terms.items():
-                k = (z1 + z2, a1 + a2)
+            return LaurentPoly({k: c * other for k, c in self._terms.items()})
+        out: dict[int, int] = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                k = k1 + k2
                 out[k] = out.get(k, 0) + c1 * c2
-        return LaurentPoly2(out)
+        return LaurentPoly(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly2":
+    def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative powers of polynomials are not defined")
-        out = LaurentPoly2.one()
+        out = LaurentPoly.one()
         for _ in range(n):
             out = out * self
         return out
 
-    def shift(self, dz: int = 0, da: int = 0) -> "LaurentPoly2":
+    def shift(self, dz: int, da: int = 0) -> "LaurentPoly":
         """Multiply by z**dz * a**da."""
-        return LaurentPoly2({(z + dz, a + da): c for (z, a), c in self._terms.items()})
+        d = dz + da * _A
+        return LaurentPoly({k + d: c for k, c in self._terms.items()})
 
     def __repr__(self) -> str:
-        return f"LaurentPoly2({self})"
+        return f"LaurentPoly({self})"
 
     def __str__(self) -> str:
-        return render_poly2(self)
+        # Keys order as (a-exponent, z-exponent) pairs do.
+        parts = [_term_text(c, *_decode(k)) for k, c in sorted(self._terms.items(), reverse=True)]
+        if not parts:
+            return "0"
+        sign0, body0 = parts[0]
+        out = ("-" if sign0 == "-" else "") + body0
+        for sign, body in parts[1:]:
+            out += f" {sign} {body}"
+        return out
 
 
-def coeff_a(p: LaurentPoly2, n: int) -> LaurentPoly1:
+def coeff_a(p: LaurentPoly, n: int) -> LaurentPoly:
     """The z-polynomial multiplying a**n in ``p``."""
-    return LaurentPoly1({z: c for (z, a), c in p.terms.items() if a == n})
+    base = n * _A
+    return LaurentPoly({k - base: c for k, c in p._terms.items() if -_HALF <= k - base < _HALF})
 
 
-def deg_a(p: LaurentPoly2):
+def deg_a(p: LaurentPoly):
     """Maximal a-exponent with nonzero coefficient, or NEG_INFINITY for 0."""
     if p.is_zero():
         return NEG_INFINITY
-    return max(a for (_, a) in p.terms)
+    return (max(p._terms) + _HALF) >> 32
 
 
 # ---------------------------------------------------------------------------
 # Canonical text form
 
 
-def _term_text(coeff: int, z_exp: int, a_exp: int = 0) -> tuple[str, str]:
+def _term_text(coeff: int, z_exp: int, a_exp: int) -> tuple[str, str]:
     """Return (sign, body) for one term."""
     sign = "-" if coeff < 0 else "+"
     mag = abs(coeff)
@@ -248,26 +195,6 @@ def _term_text(coeff: int, z_exp: int, a_exp: int = 0) -> tuple[str, str]:
     if not factors or mag != 1:
         factors.insert(0, str(mag))
     return sign, "*".join(factors)
-
-
-def _join_terms(parts: list[tuple[str, str]]) -> str:
-    if not parts:
-        return "0"
-    sign0, body0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
-
-
-def render_poly1(p: LaurentPoly1) -> str:
-    items = sorted(p.terms.items(), key=lambda kv: -kv[0])
-    return _join_terms([_term_text(c, e) for e, c in items])
-
-
-def render_poly2(p: LaurentPoly2) -> str:
-    items = sorted(p.terms.items(), key=lambda kv: (-kv[0][1], -kv[0][0]))
-    return _join_terms([_term_text(c, z, a) for (z, a), c in items])
 
 
 _FACTOR_RE = re.compile(r"^(?:(-?\d+)|([za])(?:\^(-?\d+))?)$")
@@ -307,6 +234,8 @@ def _parse_terms(text: str) -> Iterable[tuple[int, int, int]]:
                     z_exp += exp
                 else:
                     a_exp += exp
+        if abs(z_exp) >= _HALF or abs(a_exp) >= _HALF:
+            raise ValueError(f"exponent of {tok!r} out of range (|e| < 2**31)")
         yield coeff, z_exp, a_exp
         sign = None
         seen_term = True
@@ -314,18 +243,16 @@ def _parse_terms(text: str) -> Iterable[tuple[int, int, int]]:
         raise ValueError("polynomial text ends with a dangling sign")
 
 
-def parse_poly1(text: str) -> LaurentPoly1:
+def parse_poly(text: str) -> LaurentPoly:
     out: dict[int, int] = {}
     for coeff, z_exp, a_exp in _parse_terms(text):
-        if a_exp != 0:
-            raise ValueError("unexpected variable a in one-variable polynomial")
-        out[z_exp] = out.get(z_exp, 0) + coeff
-    return LaurentPoly1(out)
-
-
-def parse_poly2(text: str) -> LaurentPoly2:
-    out: dict[tuple[int, int], int] = {}
-    for coeff, z_exp, a_exp in _parse_terms(text):
-        k = (z_exp, a_exp)
+        k = z_exp + a_exp * _A
         out[k] = out.get(k, 0) + coeff
-    return LaurentPoly2(out)
+    return LaurentPoly(out)
+
+
+def parse_poly1(text: str) -> LaurentPoly:
+    """As :func:`parse_poly`, for text in ``z`` alone."""
+    if "a" in text:
+        raise ValueError("unexpected variable a in one-variable polynomial")
+    return parse_poly(text)

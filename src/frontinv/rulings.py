@@ -25,16 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .front import (
-    FrontWord,
-    Letter,
-    OrientedFront,
-    components,
-    crossing_signs,
-    occupancy,
-    orient,
-)
-from .poly import LaurentPoly1
+from .front import FrontWord, Letter, OrientedFront, occupancy
+from .poly import LaurentPoly
 
 
 class _Dead:
@@ -104,14 +96,14 @@ def sweep_step(
     state: SweepState,
     letter: Letter,
     decide_switch: bool | None = None,
-    oriented: bool = False,
     cusp_dirs: tuple[int, int] | None = None,
 ):
     """Advance the sweep across one letter; returns a new state or DEAD.
 
-    ``decide_switch`` is consulted only at crossings.  In oriented mode the
-    state tracks directions; left cusps then need ``cusp_dirs``, the travel
-    directions of the new upper and lower strands.
+    ``decide_switch`` is consulted only at crossings.  A state with ``dirs``
+    sweeps an oriented front: it tracks directions, switches only where the
+    two strands travel the same way, and its left cusps need ``cusp_dirs``,
+    the travel directions of the new upper and lower strands.
     """
     m = letter.index - 1
     pairing = state.pairing
@@ -146,7 +138,7 @@ def sweep_step(
         return DEAD
     if not _nested_or_disjoint(m, pairing[m], m + 1, pairing[m + 1]):
         return DEAD
-    if oriented and dirs is not None and dirs[m] != dirs[m + 1]:
+    if dirs is not None and dirs[m] != dirs[m + 1]:
         return DEAD
     return SweepState(pairing, state.switches + 1, new_dirs)
 
@@ -171,19 +163,11 @@ def _cusp_dirs_table(of: OrientedFront) -> dict[int, tuple[int, int]]:
     return {t: (of.dirs[u], of.dirs[v]) for t, (u, v) in occ.left_cusps}
 
 
-def enumerate_rulings(
-    word: FrontWord,
-    oriented: bool = False,
-    oriented_front: OrientedFront | None = None,
-) -> list[Ruling]:
+def enumerate_rulings(word: FrontWord, of: OrientedFront | None = None) -> list[Ruling]:
     """All rulings, in depth-first order exploring non-switch before switch.
 
-    With ``oriented`` the default orientation is used unless an explicit
-    ``oriented_front`` is supplied.
+    Given an orientation ``of`` of the word, only its oriented rulings.
     """
-    of = None
-    if oriented:
-        of = oriented_front if oriented_front is not None else orient(word)
     cusp_dirs = _cusp_dirs_table(of) if of is not None else {}
     letters = word.letters
     out: list[Ruling] = []
@@ -194,14 +178,14 @@ def enumerate_rulings(
             return
         let = letters[t]
         if let.kind == "x":
-            nxt = sweep_step(state, let, decide_switch=False, oriented=oriented)
+            nxt = sweep_step(state, let, decide_switch=False)
             if nxt is not DEAD:
                 walk(t + 1, nxt, chosen, ordinal + 1)
-            nxt = sweep_step(state, let, decide_switch=True, oriented=oriented)
+            nxt = sweep_step(state, let, decide_switch=True)
             if nxt is not DEAD:
                 walk(t + 1, nxt, chosen + (ordinal,), ordinal + 1)
         else:
-            nxt = sweep_step(state, let, oriented=oriented, cusp_dirs=cusp_dirs.get(t))
+            nxt = sweep_step(state, let, cusp_dirs=cusp_dirs.get(t))
             if nxt is not DEAD:
                 walk(t + 1, nxt, chosen, ordinal)
 
@@ -212,8 +196,7 @@ def enumerate_rulings(
 def is_ruling(
     word: FrontWord,
     candidate: Iterable[int],
-    oriented: bool = False,
-    oriented_front: OrientedFront | None = None,
+    of: OrientedFront | None = None,
 ) -> bool:
     """Direct check of the ruling conditions for a candidate switch set.
 
@@ -222,15 +205,14 @@ def is_ruling(
     each condition is tested literally: every component must be an eye (one
     left cusp, no self crossings), each switch joins two different eyes, and
     each switch is normal, the companion strands of the two eyes compared by
-    vertical position at the switch slice.  Independent of the sweep.
+    vertical position at the switch slice.  Given an orientation ``of``,
+    each switch must also join strands travelling the same way.  Independent
+    of the sweep.
     """
     switches = set(candidate)
     n_crossings = word.num_crossings
     if any(not 1 <= s <= n_crossings for s in switches):
         return False
-    of = None
-    if oriented:
-        of = oriented_front if oriented_front is not None else orient(word)
 
     # Resolve: strands keep their ids; switches leave positions unchanged,
     # plain crossings swap.  Record joins and switch slices.  Ids follow the
@@ -308,43 +290,35 @@ def is_ruling(
             ok = False
         if not ok:
             return False
-        if oriented and of is not None and of.dirs[P] != of.dirs[Q]:
+        if of is not None and of.dirs[P] != of.dirs[Q]:
             return False
     return True
 
 
-def enumerate_rulings_bruteforce(
-    word: FrontWord,
-    oriented: bool = False,
-    oriented_front: OrientedFront | None = None,
-) -> list[Ruling]:
+def enumerate_rulings_bruteforce(word: FrontWord, of: OrientedFront | None = None) -> list[Ruling]:
     """Exhaustive 2**cr filter through :func:`is_ruling` (oracle)."""
     cr = word.num_crossings
     out = []
     for bits in range(2 ** cr):
         cand = tuple(i + 1 for i in range(cr) if (bits >> i) & 1)
-        if is_ruling(word, cand, oriented=oriented, oriented_front=oriented_front):
+        if is_ruling(word, cand, of):
             out.append(Ruling(cand))
     return out
 
 
-def _polynomial_from_rulings(rulings: Sequence[Ruling], c: int) -> LaurentPoly1:
+def _polynomial_from_rulings(rulings: Sequence[Ruling], c: int) -> LaurentPoly:
     out: dict[int, int] = {}
     for rho in rulings:
         e = rho.s - c + 1
         out[e] = out.get(e, 0) + 1
-    return LaurentPoly1(out)
+    return LaurentPoly(out)
 
 
-def _polynomial_memo(
-    word: FrontWord,
-    oriented: bool,
-    of: OrientedFront | None,
-) -> LaurentPoly1:
+def _polynomial_memo(word: FrontWord, of: OrientedFront | None) -> LaurentPoly:
     """Sweep with branch merging: states with equal pairing share weights."""
     cusp_dirs = _cusp_dirs_table(of) if of is not None else {}
-    z = LaurentPoly1.z
-    current: dict[SweepState, LaurentPoly1] = {_initial_state(of): LaurentPoly1.one()}
+    z = LaurentPoly.monomial
+    current: dict[SweepState, LaurentPoly] = {_initial_state(of): LaurentPoly.one()}
 
     def add(table, state, weight):
         key = SweepState(state.pairing, 0, state.dirs)
@@ -354,39 +328,39 @@ def _polynomial_memo(
             table[key] = weight
 
     for t, let in enumerate(word.letters):
-        nxt: dict[SweepState, LaurentPoly1] = {}
+        nxt: dict[SweepState, LaurentPoly] = {}
         for state, weight in current.items():
             if let.kind == "x":
-                s1 = sweep_step(state, let, decide_switch=False, oriented=oriented)
+                s1 = sweep_step(state, let, decide_switch=False)
                 if s1 is not DEAD:
                     add(nxt, s1, weight)
-                s2 = sweep_step(state, let, decide_switch=True, oriented=oriented)
+                s2 = sweep_step(state, let, decide_switch=True)
                 if s2 is not DEAD:
                     add(nxt, s2, weight * z(1))
             else:
-                s1 = sweep_step(state, let, oriented=oriented, cusp_dirs=cusp_dirs.get(t))
+                s1 = sweep_step(state, let, cusp_dirs=cusp_dirs.get(t))
                 if s1 is not DEAD:
                     add(nxt, s1, weight)
         current = nxt
         if not current:
-            return LaurentPoly1.zero()
-    total = LaurentPoly1.zero()
+            return LaurentPoly.zero()
+    total = LaurentPoly.zero()
     for state, weight in current.items():
         total = total + weight
     c = word.num_left_cusps
     return total.shift(1 - c)
 
 
-def ruling_polynomial(word: FrontWord, *, memo: bool = True) -> LaurentPoly1:
+def ruling_polynomial(word: FrontWord, *, memo: bool = True) -> LaurentPoly:
     """Sum of z**(s - c + 1) over all rulings."""
     if memo:
-        return _polynomial_memo(word, False, None)
+        return _polynomial_memo(word, None)
     return _polynomial_from_rulings(enumerate_rulings(word), word.num_left_cusps)
 
 
-def oriented_ruling_polynomial(of: OrientedFront, *, memo: bool = True) -> LaurentPoly1:
+def oriented_ruling_polynomial(of: OrientedFront, *, memo: bool = True) -> LaurentPoly:
     """As :func:`ruling_polynomial` but switches only at positive crossings."""
     if memo:
-        return _polynomial_memo(of.word, True, of)
-    rulings = enumerate_rulings(of.word, oriented=True, oriented_front=of)
+        return _polynomial_memo(of.word, of)
+    rulings = enumerate_rulings(of.word, of)
     return _polynomial_from_rulings(rulings, of.word.num_left_cusps)

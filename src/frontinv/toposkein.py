@@ -48,11 +48,11 @@ from .diagram import (
 )
 from .errors import FuelExhausted, InternalInconsistency
 from .front import FrontWord, OrientedFront, invariants, orient
-from .poly import LaurentPoly1, LaurentPoly2, coeff_a, deg_a
+from .poly import LaurentPoly, coeff_a, deg_a
 
-_A = LaurentPoly2.monomial
+_A = LaurentPoly.monomial
 _DELTA_H = _A(-1, 1) - _A(-1, -1)          # (a - a^-1) / z
-_DELTA_D = _DELTA_H + LaurentPoly2.one()   # (a - a^-1) / z + 1
+_DELTA_D = _DELTA_H + LaurentPoly.one()   # (a - a^-1) / z + 1
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,7 @@ def _bad_crossings(d: PlanarDiagram, use_flow: bool) -> list[int]:
     return bads
 
 
-def _descending_value(d: PlanarDiagram, use_flow: bool, delta: LaurentPoly2) -> LaurentPoly2:
+def _descending_value(d: PlanarDiagram, use_flow: bool, delta: LaurentPoly) -> LaurentPoly:
     trav = traverse(d, use_flow)
     exponent = 0
     for c in range(d.n_crossings):
@@ -94,7 +94,7 @@ class _SkeinEngine:
         self.heuristic = heuristic
         self.delta = _DELTA_H if homfly else _DELTA_D
 
-    def eval(self, d: PlanarDiagram) -> LaurentPoly2:
+    def eval(self, d: PlanarDiagram) -> LaurentPoly:
         if d.n_crossings == 0:
             if d.free_loops == 0:
                 raise InternalInconsistency("empty diagram has no polynomial")
@@ -108,7 +108,7 @@ class _SkeinEngine:
             self.memo[d] = value
         return value
 
-    def _compute(self, d: PlanarDiagram) -> LaurentPoly2:
+    def _compute(self, d: PlanarDiagram) -> LaurentPoly:
         kink = _find_kink(d)
         if kink is not None:
             c, sign = kink
@@ -128,13 +128,13 @@ class _SkeinEngine:
             oriented_pairs = pairs_a if eps == 1 else pairs_b
             return self.eval(_switch(d, c)) + self.eval(
                 _smooth(d, c, oriented_pairs)
-            ).shift(1, 0) * eps
+            ).shift(1) * eps
         return self.eval(_switch(d, c)) + (
             self.eval(_smooth(d, c, pairs_a)) - self.eval(_smooth(d, c, pairs_b))
-        ).shift(1, 0)
+        ).shift(1)
 
 
-def _run(engine: _SkeinEngine, d: PlanarDiagram) -> LaurentPoly2:
+def _run(engine: _SkeinEngine, d: PlanarDiagram) -> LaurentPoly:
     try:
         return engine.eval(d)
     except RecursionError:
@@ -143,14 +143,14 @@ def _run(engine: _SkeinEngine, d: PlanarDiagram) -> LaurentPoly2:
         ) from None
 
 
-def kauffman_D(d: PlanarDiagram, *, memo: bool = True, heuristic: str = "first") -> LaurentPoly2:
+def kauffman_D(d: PlanarDiagram, *, memo: bool = True, heuristic: str = "first") -> LaurentPoly:
     """Dubrovnik polynomial of a diagram, D(unknot) = 1."""
     # D never reads orientation; without it, diagrams that differ only in arc
     # directions share one memo entry.
     return _run(_SkeinEngine(False, memo, heuristic), replace(d, flow_in=frozenset()))
 
 
-def homfly_H(d: PlanarDiagram, *, memo: bool = True, heuristic: str = "first") -> LaurentPoly2:
+def homfly_H(d: PlanarDiagram, *, memo: bool = True, heuristic: str = "first") -> LaurentPoly:
     """Regular-isotopy HOMFLY polynomial of an oriented diagram, H(unknot) = 1."""
     return _run(_SkeinEngine(True, memo, heuristic), d)
 
@@ -159,28 +159,28 @@ def _as_oriented(front: FrontWord | OrientedFront) -> OrientedFront:
     return front if isinstance(front, OrientedFront) else orient(front)
 
 
-def kauffman_F(of: FrontWord | OrientedFront, **kw) -> LaurentPoly2:
+def kauffman_F(of: FrontWord | OrientedFront, **kw) -> LaurentPoly:
     """Kauffman polynomial F = a**-w D(Top(K)) of an oriented front."""
     of = _as_oriented(of)
     d = from_oriented_front(of)
     return kauffman_D(d, **kw).shift(0, -writhe(d))
 
 
-def homfly_P(of: FrontWord | OrientedFront, **kw) -> LaurentPoly2:
+def homfly_P(of: FrontWord | OrientedFront, **kw) -> LaurentPoly:
     """HOMFLY polynomial P = a**-w H(Top(K)) of an oriented front."""
     of = _as_oriented(of)
     d = from_oriented_front(of)
     return homfly_H(d, **kw).shift(0, -writhe(d))
 
 
-def B_of(front: FrontWord | OrientedFront, **kw) -> LaurentPoly1:
+def B_of(front: FrontWord | OrientedFront, **kw) -> LaurentPoly:
     """Coefficient of a**(c-1) in D(Top(K))."""
     of = _as_oriented(front)
     inv = invariants(of)
     return coeff_a(kauffman_D(from_oriented_front(of), **kw), inv.c - 1)
 
 
-def Q_of(of: FrontWord | OrientedFront, **kw) -> LaurentPoly1:
+def Q_of(of: FrontWord | OrientedFront, **kw) -> LaurentPoly:
     """Coefficient of a**(c-1) in H(Top(K))."""
     of = _as_oriented(of)
     inv = invariants(of)
@@ -194,8 +194,8 @@ class SharpnessReport:
     deg_a_H: object
     kauffman_sharp: bool
     homfly_sharp: bool
-    B: LaurentPoly1
-    Q: LaurentPoly1
+    B: LaurentPoly
+    Q: LaurentPoly
     homfly_bound_strengthened: bool
 
 

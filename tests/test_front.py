@@ -27,7 +27,7 @@ from frontinv.front import (
     swap_adjacent_all,
 )
 from frontinv.rulings import ruling_polynomial
-from frontinv.poly import LaurentPoly1
+from frontinv.poly import LaurentPoly
 
 
 def test_parse_unknot():
@@ -243,13 +243,13 @@ def test_stabilize_unknot():
     w = stabilize(parse_front("l1 r1"), gap=1, pos=1, flavor="down")
     assert len(w.letters) == 4
     assert invariants(orient(w)).beta == -2
-    assert ruling_polynomial(w) == LaurentPoly1.zero()
+    assert ruling_polynomial(w) == LaurentPoly.zero()
 
 
 def test_stabilize_up_flavor():
     w = stabilize(parse_front("l1 r1"), gap=1, pos=2, flavor="up")
     assert invariants(orient(w)).beta == -2
-    assert ruling_polynomial(w) == LaurentPoly1.zero()
+    assert ruling_polynomial(w) == LaurentPoly.zero()
 
 
 def test_stabilize_twice():

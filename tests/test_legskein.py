@@ -10,7 +10,7 @@ from frontinv.errors import FuelExhausted
 from frontinv.front import FrontWord, L, Letter, R, X, parse_front
 from frontinv import legskein
 from frontinv.legskein import _Budget, _Machine, _scan_eye, _scan_zero, canonicalize, evaluate_B
-from frontinv.poly import LaurentPoly1, parse_poly1
+from frontinv.poly import LaurentPoly, parse_poly1
 from frontinv.rulings import ruling_polynomial
 
 
@@ -105,15 +105,15 @@ def test_canonicalize_cusp_diamond():
 # -- the skein relation, checked on the sweep
 
 
-def _sweep(letters) -> LaurentPoly1:
+def _sweep(letters) -> LaurentPoly:
     """The sweep's value of a word; the empty word evaluates to z."""
-    return ruling_polynomial(FrontWord(tuple(letters))) if letters else LaurentPoly1.z(1)
+    return ruling_polynomial(FrontWord(tuple(letters))) if letters else LaurentPoly.monomial(1)
 
 
 def test_skein_relation_on_sweep():
     # l_mu x_(mu+d) = l_(mu+d) x_mu + z [l_mu] - z [l_(mu+d)], d = -1 or +1,
     # with all three words built here from each cusp-crossing site
-    z = LaurentPoly1.z(1)
+    z = LaurentPoly.monomial(1)
     checked = 0
     for w in random_fronts(seed=73, count=300, max_len=12):
         for site in range(len(w.letters) - 1):
@@ -138,7 +138,7 @@ def test_each_machine_run_preserves_value():
         trace: list = []
         machine = _Machine(word.letters, _Budget(10 ** 6), trace, 1)
         result = machine.run()
-        total = LaurentPoly1.zero()
+        total = LaurentPoly.zero()
         for coeff, side in machine.sides:
             total = total + coeff * _sweep(side)
         if result[0] == "recurse":
@@ -150,7 +150,7 @@ def test_each_machine_run_preserves_value():
 
 
 def test_terminal_values():
-    assert evaluate_B(parse_front("l1 r1")) == LaurentPoly1.one()
+    assert evaluate_B(parse_front("l1 r1")) == LaurentPoly.one()
     assert evaluate_B(parse_front("l1 x1 r1")).is_zero()
     assert evaluate_B(parse_front("l1 l1 r2 r1")).is_zero()  # zig-zag
     assert evaluate_B(parse_front("l1 r1 l1 r1")) == parse_poly1("z^-1")
@@ -227,7 +227,7 @@ def test_split_chain_of_eyes():
     # the split rule applies before the memo lookup, so a chain costs one
     # lookup per eye
     for k in range(1, 9):
-        assert evaluate_B(parse_front(" ".join(["l1 r1"] * k))) == LaurentPoly1.z(1 - k)
+        assert evaluate_B(parse_front(" ".join(["l1 r1"] * k))) == LaurentPoly.monomial(1 - k)
     trefoil_with_eyes = parse_front("l1 r1 l1 l3 x2 x2 x2 r1 r1 l1 r1 l1 r1")
     assert evaluate_B(trefoil_with_eyes) == parse_poly1("z^-3") * parse_poly1("z^2 + 2")
 
@@ -300,4 +300,4 @@ def test_mirrored_type2_word_identity():
 
 def test_empty_word_convention():
     # value(empty) = z keeps the split rule and the unknot value consistent
-    assert evaluate_B(FrontWord(())) == LaurentPoly1.z(1)
+    assert evaluate_B(FrontWord(())) == LaurentPoly.monomial(1)

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from frontinv.front import all_orientations, components, invariants, parse_front_file
-from frontinv.poly import LaurentPoly1, render_poly1
+from frontinv.poly import LaurentPoly
 from frontinv.rulings import enumerate_rulings_bruteforce
 
 
@@ -28,7 +28,7 @@ def polynomial_of(rulings, c: int) -> str:
     for r in rulings:
         e = len(r.switches) - c + 1
         terms[e] = terms.get(e, 0) + 1
-    return render_poly1(LaurentPoly1(terms))
+    return str(LaurentPoly(terms))
 
 
 def fixture_json(front_file_text: str) -> str:
@@ -49,7 +49,7 @@ def fixture_json(front_file_text: str) -> str:
     }
     for of in all_orientations(word):
         key = "".join("+" if b else "-" for b in of.choices)
-        oriented = enumerate_rulings_bruteforce(word, oriented=True, oriented_front=of)
+        oriented = enumerate_rulings_bruteforce(word, of)
         inv = invariants(of)
         record["orientations"][key] = {
             "w": inv.w,
