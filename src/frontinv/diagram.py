@@ -21,14 +21,13 @@ below.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .front import RIGHT, OrientedFront, occupancy
 
 
-@dataclass(frozen=True)
-class PlanarDiagram:
+class PlanarDiagram(NamedTuple):
     """An immutable, hashable diagram; equal diagrams are equal memo keys.
 
     ``nbr[p]`` is the port that an arc joins to port ``p`` (so ``nbr`` is an
@@ -222,8 +221,7 @@ def _strip_bigon(d: PlanarDiagram, c: int, c2: int) -> PlanarDiagram:
 # Traversal
 
 
-@dataclass(frozen=True)
-class Traversal:
+class Traversal(NamedTuple):
     """Passage order of a based traversal; one passage per (component, strand)."""
 
     components: tuple[tuple[int, ...], ...]   # arrival ports in walk order

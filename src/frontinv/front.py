@@ -27,7 +27,6 @@ pure, so they are safe to share between threads.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
@@ -82,15 +81,19 @@ def _check_letter(letter: Letter, n: int) -> bool:
     return 1 <= m <= n - 1
 
 
-@dataclass(frozen=True)
 class FrontWord:
-    """A validated closed front word."""
+    """A validated closed front word, compared and hashed by its letters.
 
+    The constructor raises ParseError (INDEX_OUT_OF_RANGE or NOT_CLOSED) on
+    letters that do not form a closed front; assignment is refused.
+    """
+
+    __slots__ = ("letters",)
     letters: tuple[Letter, ...]
 
-    def __post_init__(self):
+    def __init__(self, letters: tuple[Letter, ...]):
         n = 0
-        for pos, let in enumerate(self.letters):
+        for pos, let in enumerate(letters):
             if not _check_letter(let, n):
                 raise ParseError(
                     "INDEX_OUT_OF_RANGE",
@@ -99,6 +102,27 @@ class FrontWord:
             n += letter_delta(let.kind)
         if n != 0:
             raise ParseError("NOT_CLOSED", f"final strand count is {n}, expected 0")
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable FrontWord")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable FrontWord")
+
+    def __reduce__(self):
+        return FrontWord, (self.letters,)
+
+    def __eq__(self, other):
+        if other.__class__ is FrontWord:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
+
+    def __repr__(self) -> str:
+        return f"FrontWord(letters={self.letters!r})"
 
     @property
     def strand_counts(self) -> tuple[int, ...]:
@@ -137,6 +161,8 @@ def parse_front(text: str) -> FrontWord:
     UNKNOWN_TOKEN, INDEX_OUT_OF_RANGE or NOT_CLOSED.
     """
     letters: list[Letter] = []
+    # One Letter per distinct token; the range check still runs per token.
+    parsed: dict[str, Letter] = {}
     n = 0
     for lineno, line in enumerate(text.splitlines() or [text], start=1):
         stripped = line.strip()
@@ -145,7 +171,9 @@ def parse_front(text: str) -> FrontWord:
         col = 0
         for tok in line.split():
             col = line.index(tok, col)
-            let = _letter_from_token(tok, lineno, col + 1)
+            let = parsed.get(tok)
+            if let is None:
+                let = parsed[tok] = _letter_from_token(tok, lineno, col + 1)
             if not _check_letter(let, n):
                 raise ParseError(
                     "INDEX_OUT_OF_RANGE",
@@ -154,13 +182,16 @@ def parse_front(text: str) -> FrontWord:
                     col=col + 1,
                 )
             letters.append(let)
-            n += letter_delta(let.kind)
+            n += _LETTER_DELTA[let.kind]
             col += len(tok)
     if n != 0:
         raise ParseError("NOT_CLOSED", f"final strand count is {n}, expected 0")
     if not letters:
         raise ParseError("NOT_CLOSED", "empty front")
-    return FrontWord(tuple(letters))
+    # Every letter was checked above, so the word skips FrontWord's own pass.
+    word = object.__new__(FrontWord)
+    object.__setattr__(word, "letters", tuple(letters))
+    return word
 
 
 def parse_front_file(text: str) -> tuple[FrontWord, dict[int, bool]]:
@@ -199,8 +230,7 @@ def parse_front_file(text: str) -> tuple[FrontWord, dict[int, bool]]:
 # Strand identity, components, orientation
 
 
-@dataclass(frozen=True)
-class Occupancy:
+class Occupancy(NamedTuple):
     """Persistent strand ids through the sweep of a word.
 
     ``slices[t]`` lists the strand ids at positions 1..N just before letter
@@ -239,8 +269,7 @@ def occupancy(word: FrontWord) -> Occupancy:
     return Occupancy(tuple(slices), next_id, tuple(lefts), tuple(rights), tuple(pairs))
 
 
-@dataclass(frozen=True)
-class Components:
+class Components(NamedTuple):
     comp_of: tuple[int, ...]       # strand id -> 1-based component id
     n_components: int
     first_cusp: tuple[int, ...]    # component id-1 -> word position of its first left cusp
@@ -274,8 +303,7 @@ def components(word: FrontWord) -> Components:
     return Components(comp_of, len(ordered_roots), first)
 
 
-@dataclass(frozen=True)
-class OrientedFront:
+class OrientedFront(NamedTuple):
     """A front word with a consistent travel direction on every strand."""
 
     word: FrontWord
@@ -332,16 +360,12 @@ def all_orientations(word: FrontWord) -> list[OrientedFront]:
     return outs
 
 
-@dataclass(frozen=True)
-class FrontInvariants:
+class FrontInvariants(NamedTuple):
     c: int
     cr: int
     w: int
     beta: int
     r: int
-
-    def as_dict(self) -> dict:
-        return {"c": self.c, "cr": self.cr, "w": self.w, "beta": self.beta, "r": self.r}
 
 
 def crossing_signs(of: OrientedFront) -> tuple[int, ...]:
@@ -538,8 +562,7 @@ def apply_move(
         raise MoveNotApplicable(f"{rule} at {site}: result invalid ({exc})") from exc
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     rule: str
     site: int
     inverse: bool = False

@@ -22,8 +22,7 @@ non-switch branch before switch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .front import FrontWord, Letter, OrientedFront, occupancy
 from .poly import LaurentPoly
@@ -47,8 +46,7 @@ class _Dead:
 DEAD = _Dead()
 
 
-@dataclass(frozen=True)
-class SweepState:
+class SweepState(NamedTuple):
     """Eye pairing on strand positions during the sweep.
 
     ``pairing[i]`` is the 0-based position paired with position i (a fixed-
@@ -143,8 +141,7 @@ def sweep_step(
     return SweepState(pairing, state.switches + 1, new_dirs)
 
 
-@dataclass(frozen=True)
-class Ruling:
+class Ruling(NamedTuple):
     """A switch set, as 1-based crossing ordinals in increasing order."""
 
     switches: tuple[int, ...]

@@ -30,7 +30,7 @@ B = [a**(c-1)] D and Q = [a**(c-1)] H with c the left-cusp count.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .diagram import (
     PlanarDiagram,
@@ -147,7 +147,7 @@ def kauffman_D(d: PlanarDiagram, *, memo: bool = True, heuristic: str = "first")
     """Dubrovnik polynomial of a diagram, D(unknot) = 1."""
     # D never reads orientation; without it, diagrams that differ only in arc
     # directions share one memo entry.
-    return _run(_SkeinEngine(False, memo, heuristic), replace(d, flow_in=frozenset()))
+    return _run(_SkeinEngine(False, memo, heuristic), d._replace(flow_in=frozenset()))
 
 
 def homfly_H(d: PlanarDiagram, *, memo: bool = True, heuristic: str = "first") -> LaurentPoly:
@@ -176,19 +176,16 @@ def homfly_P(of: FrontWord | OrientedFront, **kw) -> LaurentPoly:
 def B_of(front: FrontWord | OrientedFront, **kw) -> LaurentPoly:
     """Coefficient of a**(c-1) in D(Top(K))."""
     of = _as_oriented(front)
-    inv = invariants(of)
-    return coeff_a(kauffman_D(from_oriented_front(of), **kw), inv.c - 1)
+    return coeff_a(kauffman_D(from_oriented_front(of), **kw), of.word.num_left_cusps - 1)
 
 
 def Q_of(of: FrontWord | OrientedFront, **kw) -> LaurentPoly:
     """Coefficient of a**(c-1) in H(Top(K))."""
     of = _as_oriented(of)
-    inv = invariants(of)
-    return coeff_a(homfly_H(from_oriented_front(of), **kw), inv.c - 1)
+    return coeff_a(homfly_H(from_oriented_front(of), **kw), of.word.num_left_cusps - 1)
 
 
-@dataclass(frozen=True)
-class SharpnessReport:
+class SharpnessReport(NamedTuple):
     beta: int
     deg_a_D: object
     deg_a_H: object

@@ -69,10 +69,7 @@ def criterion_2() -> tuple[bool, str]:
     """Oriented ruling polynomial == HOMFLY coefficient, all orientations."""
     checked = 0
     for name, word in corpus_words():
-        orientations = all_orientations(word)
-        if len(orientations) > 4:  # more than two components
-            continue
-        for of in orientations:
+        for of in all_orientations(word):
             if oriented_ruling_polynomial(of) != Q_of(of):
                 return False, f"oriented identity broken on {name} {of.choices}"
             checked += 1

@@ -116,8 +116,7 @@ def test_verify_oriented(capsys):
     assert code == 0
     report = json.loads(out)
     for rec in report["fronts"].values():
-        if "agree_4_1" in rec:
-            assert rec["agree_4_1"] is True
+        assert rec["agree_4_1"] is True
 
 
 def test_verify_corollaries(capsys):
@@ -142,12 +141,37 @@ def test_verify_evaluates_each_polynomial_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", str(CORPUS))
     assert code == 0
     counts = [components(word).n_components for _, word in corpus_words()]
-    # one D per front; for k <= 2 components, one H and one oriented sweep per
-    # pair of orientations that differ by a global reversal (2^(k-1) pairs),
-    # else only the H that the sharpness report needs
+    assert 3 in counts
+    # one D per front; one H and one oriented sweep per pair of orientations
+    # that differ by a global reversal (2^(k-1) pairs for k components)
     assert calls["D"] == len(counts)
-    assert calls["H"] == sum(2 ** (k - 1) if k <= 2 else 1 for k in counts)
-    assert calls["OR"] == sum(2 ** (k - 1) if k <= 2 else 0 for k in counts)
+    assert calls["H"] == sum(2 ** (k - 1) for k in counts)
+    assert calls["OR"] == sum(2 ** (k - 1) for k in counts)
+
+
+def test_verify_checks_every_orientation_of_three_components(capsys):
+    code, out, _ = run_cli(capsys, "verify", str(CORPUS), "--theorem", "4.1")
+    assert code == 0
+    rec = json.loads(out)["fronts"]["split3"]
+    assert rec["agree_4_1"] is True and rec["ok"] is True
+    assert len(rec["oriented"]) == 8
+    assert len({o["choices"] for o in rec["oriented"]}) == 8
+    assert all(o["OR"] == o["Q"] for o in rec["oriented"])
+
+
+def test_verify_fails_front_past_orientation_budget(capsys, monkeypatch):
+    # split3 has 4 reversal pairs; below that budget it is not checked, and
+    # Theorem 4.1 must not pass it
+    monkeypatch.setattr(cli, "ORIENTATION_PAIR_BUDGET", 2)
+    code, out, _ = run_cli(capsys, "verify", str(CORPUS), "--theorem", "4.1")
+    assert code == 1
+    report = json.loads(out)
+    rec = report["fronts"]["split3"]
+    assert rec["agree_4_1"] is None and "oriented" not in rec and rec["ok"] is False
+    assert report["fronts"]["hopf"]["ok"] is True and report["all_agree"] is False
+    # Theorem 3.1 does not read the oriented check
+    code, _, _ = run_cli(capsys, "verify", str(CORPUS), "--theorem", "3.1")
+    assert code == 0
 
 
 def test_verify_timings_field(capsys):

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import copy
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,9 @@ from frontinv.front import (
     LEFT,
     RIGHT,
     FrontWord,
+    L,
+    R,
+    X,
     all_orientations,
     applicable_moves,
     apply_move,
@@ -83,6 +91,54 @@ def test_parse_front_file_orient_unknown_component():
     with pytest.raises(ParseError) as exc:
         parse_front_file("orient: 7=-\nl1 r1\n")
     assert exc.value.code == "INDEX_OUT_OF_RANGE"
+
+
+def test_parse_reports_repeated_token_at_its_own_column():
+    # the third token repeats the second, but is out of range on 0 strands
+    with pytest.raises(ParseError) as exc:
+        parse_front("l1 r1 r1")
+    assert exc.value.code == "INDEX_OUT_OF_RANGE"
+    assert (exc.value.line, exc.value.col) == (1, 7)
+
+
+def test_front_word_constructor_validates():
+    with pytest.raises(ParseError) as exc:
+        FrontWord((L(1), R(2)))
+    assert exc.value.code == "INDEX_OUT_OF_RANGE"
+    with pytest.raises(ParseError) as exc:
+        FrontWord((L(1), X(2), R(1)))
+    assert exc.value.code == "INDEX_OUT_OF_RANGE"
+    with pytest.raises(ParseError) as exc:
+        FrontWord((L(1), L(1), R(1)))
+    assert exc.value.code == "NOT_CLOSED"
+
+
+def test_front_word_is_an_immutable_value():
+    letters = (L(1), X(1), R(1))
+    w = FrontWord(letters)
+    with pytest.raises(AttributeError):
+        w.letters = (L(1), R(1))
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    with pytest.raises(AttributeError):
+        del w.letters
+    assert w.letters == letters
+    same = parse_front("l1 x1 r1")
+    assert w == same and hash(w) == hash(same) and len({w, same}) == 1
+    assert w != FrontWord((L(1), R(1)))
+    assert w != letters and letters != w
+    assert copy.deepcopy(w) == w
+    assert repr(w) == f"FrontWord(letters={letters!r})"
+
+
+def test_import_loads_no_dataclasses():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, frontinv.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_render_round_trip():
