@@ -87,17 +87,17 @@ def cmd_rulings(args) -> int:
 
 def cmd_poly(args) -> int:
     if args.path.endswith(".pd"):
+        if args.which not in ("kauffman", "homfly"):
+            raise FrontError(f"--which {args.which} needs a .front input")
         d = pd_import(Path(args.path).read_text())
         _check_cap(d.n_crossings, args.force)
-        if args.which == "kauffman":
-            _emit({"kauffman": str(kauffman_D(d))})
-            return 0
-        if args.which == "homfly":
-            _emit({"homfly": str(homfly_H(d))})
-            return 0
-        raise FrontError(f"--which {args.which} needs a .front input")
+        value = kauffman_D(d) if args.which == "kauffman" else homfly_H(d)
+        _emit({args.which: str(value)})
+        return 0
     word, flags = parse_front_file(Path(args.path).read_text())
-    _check_cap(word.num_crossings, args.force)
+    if args.which not in ("ruling", "oruling"):
+        # The cap is for the skein routes; the ruling sweep builds no tree.
+        _check_cap(word.num_crossings, args.force)
     of = orient(word, flags)
     if args.which == "ruling":
         out = str(ruling_polynomial(word))
@@ -155,9 +155,9 @@ def _verify_front(word: FrontWord, flags, timings: bool) -> dict:
     if orientations:
         # Reversing every component changes neither H (HOMFLY is invariant
         # under global reversal, and the writhe is unchanged) nor the oriented
-        # ruling polynomial (the sweep reads directions only by comparing two
-        # strands').  So each reversal pair is evaluated once, on the
-        # orientation with choices[0] true.
+        # ruling polynomial (the sweep reads the orientation only through
+        # crossing signs, which a global reversal keeps).  So each reversal
+        # pair is evaluated once, on the orientation with choices[0] true.
         by_choices = {of.choices: of for of in orientations}
         values: dict = {}
         oriented_records = []

@@ -275,6 +275,7 @@ class Components(NamedTuple):
     first_cusp: tuple[int, ...]    # component id-1 -> word position of its first left cusp
 
 
+@lru_cache(maxsize=4096)
 def components(word: FrontWord) -> Components:
     """Partition strands into link components, numbered by first left cusp."""
     occ = occupancy(word)

@@ -16,51 +16,22 @@ direct checker (:func:`is_ruling`) that resolves a candidate switch set and
 tests the defining conditions literally.  The checker shares no logic with
 the sweep and serves as its oracle.
 
+The sweep's state is the pairing alone.  It reads an orientation only
+through :func:`~frontinv.front.crossing_signs`, as the mask of crossings
+where a switch may be taken, so reversing every component, which keeps
+every sign, keeps the oriented rulings.
+
 Everything here is pure; enumeration order is deterministic (depth-first,
 non-switch branch before switch).
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .front import FrontWord, Letter, OrientedFront, occupancy
+from .front import FrontWord, Letter, OrientedFront, crossing_signs
 from .poly import LaurentPoly
-
-
-class _Dead:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "DEAD"
-
-    def __bool__(self):
-        return False
-
-
-DEAD = _Dead()
-
-
-class SweepState(NamedTuple):
-    """Eye pairing on strand positions during the sweep.
-
-    ``pairing[i]`` is the 0-based position paired with position i (a fixed-
-    point-free involution).  ``dirs`` carries per-position travel directions
-    when sweeping an oriented front.
-    """
-
-    pairing: tuple[int, ...]
-    switches: int = 0
-    dirs: tuple[int, ...] | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.pairing)
 
 
 def _insert_pair(pairing: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -91,54 +62,33 @@ def _nested_or_disjoint(i: int, pi: int, j: int, pj: int) -> bool:
 
 
 def sweep_step(
-    state: SweepState,
-    letter: Letter,
-    decide_switch: bool | None = None,
-    cusp_dirs: tuple[int, int] | None = None,
-):
-    """Advance the sweep across one letter; returns a new state or DEAD.
+    pairing: tuple[int, ...], letter: Letter, switch: bool = False
+) -> tuple[int, ...] | None:
+    """Advance the sweep across one letter: the next pairing, or None when
+    no ruling continues.
 
-    ``decide_switch`` is consulted only at crossings.  A state with ``dirs``
-    sweeps an oriented front: it tracks directions, switches only where the
-    two strands travel the same way, and its left cusps need ``cusp_dirs``,
-    the travel directions of the new upper and lower strands.
+    ``pairing[i]`` is the 0-based position paired with position i, a fixed-
+    point-free involution.  ``switch`` is read only at crossings.
     """
     m = letter.index - 1
-    pairing = state.pairing
-    dirs = state.dirs
     if letter.kind == "l":
-        new_pairing = _insert_pair(pairing, m)
-        new_dirs = None
-        if dirs is not None:
-            lst = [d for d in dirs]
-            lst[m:m] = list(cusp_dirs or (0, 0))
-            new_dirs = tuple(lst)
-        return SweepState(new_pairing, state.switches, new_dirs)
+        return _insert_pair(pairing, m)
     if letter.kind == "r":
-        if pairing[m] != m + 1:
-            return DEAD
-        new_dirs = None
-        if dirs is not None:
-            new_dirs = dirs[:m] + dirs[m + 2:]
-        return SweepState(_delete_pair(pairing, m), state.switches, new_dirs)
-    # crossing
-    same_eye = pairing[m] == m + 1
-    new_dirs = None
-    if dirs is not None:
-        lst = list(dirs)
-        lst[m], lst[m + 1] = lst[m + 1], lst[m]
-        new_dirs = tuple(lst)
-    if not decide_switch:
-        if same_eye:
-            return DEAD
-        return SweepState(_swap(pairing, m), state.switches, new_dirs)
-    if same_eye:
-        return DEAD
-    if not _nested_or_disjoint(m, pairing[m], m + 1, pairing[m + 1]):
-        return DEAD
-    if dirs is not None and dirs[m] != dirs[m + 1]:
-        return DEAD
-    return SweepState(pairing, state.switches + 1, new_dirs)
+        return _delete_pair(pairing, m) if pairing[m] == m + 1 else None
+    if pairing[m] == m + 1:
+        return None  # the two strands of one eye never cross
+    if not switch:
+        return _swap(pairing, m)
+    if _nested_or_disjoint(m, pairing[m], m + 1, pairing[m + 1]):
+        return pairing
+    return None
+
+
+def _switch_mask(word: FrontWord, of: OrientedFront | None) -> tuple[bool, ...]:
+    """Per letter, whether a ruling may switch there: at every crossing, or
+    given an orientation ``of``, at its positive crossings only."""
+    positive = repeat(True) if of is None else (s == 1 for s in crossing_signs(of))
+    return tuple(let.kind == "x" and next(positive) for let in word.letters)
 
 
 class Ruling(NamedTuple):
@@ -151,42 +101,31 @@ class Ruling(NamedTuple):
         return len(self.switches)
 
 
-def _initial_state(of: OrientedFront | None) -> SweepState:
-    return SweepState((), 0, () if of is not None else None)
-
-
-def _cusp_dirs_table(of: OrientedFront) -> dict[int, tuple[int, int]]:
-    occ = occupancy(of.word)
-    return {t: (of.dirs[u], of.dirs[v]) for t, (u, v) in occ.left_cusps}
-
-
 def enumerate_rulings(word: FrontWord, of: OrientedFront | None = None) -> list[Ruling]:
     """All rulings, in depth-first order exploring non-switch before switch.
 
     Given an orientation ``of`` of the word, only its oriented rulings.
     """
-    cusp_dirs = _cusp_dirs_table(of) if of is not None else {}
     letters = word.letters
+    mask = _switch_mask(word, of)
+    ordinals = tuple(accumulate(let.kind == "x" for let in letters))
     out: list[Ruling] = []
-
-    def walk(t: int, state: SweepState, chosen: tuple[int, ...], ordinal: int) -> None:
+    # An explicit stack, so the depth of a word is not bounded by Python's
+    # recursion limit.  The switch branch is pushed first and popped last.
+    stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), ())]
+    while stack:
+        t, pairing, chosen = stack.pop()
         if t == len(letters):
             out.append(Ruling(chosen))
-            return
+            continue
         let = letters[t]
-        if let.kind == "x":
-            nxt = sweep_step(state, let, decide_switch=False)
-            if nxt is not DEAD:
-                walk(t + 1, nxt, chosen, ordinal + 1)
-            nxt = sweep_step(state, let, decide_switch=True)
-            if nxt is not DEAD:
-                walk(t + 1, nxt, chosen + (ordinal,), ordinal + 1)
-        else:
-            nxt = sweep_step(state, let, cusp_dirs=cusp_dirs.get(t))
-            if nxt is not DEAD:
-                walk(t + 1, nxt, chosen, ordinal)
-
-    walk(0, _initial_state(of), (), 1)
+        plain = sweep_step(pairing, let)
+        if mask[t]:
+            switched = sweep_step(pairing, let, switch=True)
+            if switched is not None:
+                stack.append((t + 1, switched, chosen + (ordinals[t],)))
+        if plain is not None:
+            stack.append((t + 1, plain, chosen))
     return out
 
 
@@ -312,37 +251,25 @@ def _polynomial_from_rulings(rulings: Sequence[Ruling], c: int) -> LaurentPoly:
 
 
 def _polynomial_memo(word: FrontWord, of: OrientedFront | None) -> LaurentPoly:
-    """Sweep with branch merging: states with equal pairing share weights."""
-    cusp_dirs = _cusp_dirs_table(of) if of is not None else {}
+    """Sweep with branch merging: equal pairings share one weight."""
     z = LaurentPoly.monomial
-    current: dict[SweepState, LaurentPoly] = {_initial_state(of): LaurentPoly.one()}
-
-    def add(table, state, weight):
-        key = SweepState(state.pairing, 0, state.dirs)
-        if key in table:
-            table[key] = table[key] + weight
-        else:
-            table[key] = weight
-
-    for t, let in enumerate(word.letters):
-        nxt: dict[SweepState, LaurentPoly] = {}
-        for state, weight in current.items():
-            if let.kind == "x":
-                s1 = sweep_step(state, let, decide_switch=False)
-                if s1 is not DEAD:
-                    add(nxt, s1, weight)
-                s2 = sweep_step(state, let, decide_switch=True)
-                if s2 is not DEAD:
-                    add(nxt, s2, weight * z(1))
-            else:
-                s1 = sweep_step(state, let, cusp_dirs=cusp_dirs.get(t))
-                if s1 is not DEAD:
-                    add(nxt, s1, weight)
+    current: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one()}
+    for let, may_switch in zip(word.letters, _switch_mask(word, of)):
+        nxt: dict[tuple[int, ...], LaurentPoly] = {}
+        for pairing, weight in current.items():
+            p = sweep_step(pairing, let)
+            if p is not None:
+                nxt[p] = nxt[p] + weight if p in nxt else weight
+            if may_switch:
+                p = sweep_step(pairing, let, switch=True)
+                if p is not None:
+                    switched = weight * z(1)
+                    nxt[p] = nxt[p] + switched if p in nxt else switched
         current = nxt
         if not current:
             return LaurentPoly.zero()
     total = LaurentPoly.zero()
-    for state, weight in current.items():
+    for weight in current.values():
         total = total + weight
     c = word.num_left_cusps
     return total.shift(1 - c)

@@ -237,6 +237,11 @@ def test_crossing_cap(capsys, tmp_path):
     assert code == 2 and "cap" in err
     code, out, _ = run_cli(capsys, "poly", str(f), "--which", "ruling", "--force")
     assert code == 0
+    # the cap is for the skein routes: the ruling sweep builds no tree
+    code, unforced, _ = run_cli(capsys, "poly", str(f), "--which", "ruling")
+    assert code == 0 and unforced == out
+    code, _, _ = run_cli(capsys, "poly", str(f), "--which", "oruling")
+    assert code == 0
     # the same diagram as PD text is held to the same cap
     code, out, _ = run_cli(capsys, "pd", str(f))
     assert code == 0
@@ -246,3 +251,6 @@ def test_crossing_cap(capsys, tmp_path):
     assert code == 2 and "cap" in err
     code, _, _ = run_cli(capsys, "poly", str(pd_file), "--which", "kauffman", "--force")
     assert code == 0
+    # a choice PD input cannot serve is refused as such, not for its size
+    code, _, err = run_cli(capsys, "poly", str(pd_file), "--which", "ruling")
+    assert code == 2 and "needs a .front input" in err

@@ -153,6 +153,15 @@ def test_components():
     assert components(parse_front("l1 l3 x2 x2 r1 r1")).n_components == 2
 
 
+def test_all_orientations_computes_components_once():
+    # 5 components, 32 orientations, one partition of the strands.
+    w = parse_front("l1 l3 x2 x2 r1 r1 l1 l3 x2 x2 r1 r1 l1 r1")
+    components.cache_clear()
+    orientations = all_orientations(w)
+    assert len(orientations) == 32
+    assert components.cache_info().misses == 1
+
+
 def test_default_orientation_unknot():
     of = orient(parse_front("l1 r1"))
     occ = occupancy(of.word)

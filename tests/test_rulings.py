@@ -5,14 +5,21 @@ import random
 
 import pytest
 
-from conftest import CORPUS, ROOT, corpus_paths, corpus_words, expected_fixture, random_fronts
+from conftest import (
+    CORPUS,
+    ROOT,
+    closed_words,
+    corpus_paths,
+    corpus_words,
+    expected_fixture,
+    random_fronts,
+    recursion_headroom,
+)
 
-from frontinv.front import R, X, all_orientations, orient, parse_front
+from frontinv.front import R, X, all_orientations, crossing_signs, orient, parse_front
 from frontinv.poly import LaurentPoly, parse_poly1
 from frontinv.rulings import (
-    DEAD,
     Ruling,
-    SweepState,
     enumerate_rulings,
     enumerate_rulings_bruteforce,
     is_ruling,
@@ -30,35 +37,30 @@ def switch_sets(rulings) -> list[tuple[int, ...]]:
 
 
 def test_sweep_step_trefoil_disjoint_switch():
-    state = SweepState((1, 0, 3, 2))  # pairs (1,2) and (3,4) in 1-based terms
-    out = sweep_step(state, X(2), decide_switch=True)
-    assert out is not DEAD
-    assert out.pairing == state.pairing and out.switches == 1
+    pairing = (1, 0, 3, 2)  # pairs (1,2) and (3,4) in 1-based terms
+    assert sweep_step(pairing, X(2), switch=True) == pairing
+    assert sweep_step(pairing, X(2)) == (2, 3, 0, 1)
 
 
 def test_sweep_step_interleaved_switch_dies():
-    state = SweepState((2, 3, 0, 1))  # pairs (1,3) and (2,4): interleaved at 2,3
-    assert sweep_step(state, X(2), decide_switch=True) is DEAD
+    pairing = (2, 3, 0, 1)  # pairs (1,3) and (2,4): interleaved at 2,3
+    assert sweep_step(pairing, X(2), switch=True) is None
 
 
 def test_sweep_step_same_eye_dies_both_ways():
-    state = SweepState((1, 0))  # one eye
-    assert sweep_step(state, X(1), decide_switch=True) is DEAD
-    assert sweep_step(state, X(1), decide_switch=False) is DEAD
+    pairing = (1, 0)  # one eye
+    assert sweep_step(pairing, X(1), switch=True) is None
+    assert sweep_step(pairing, X(1)) is None
 
 
 def test_sweep_step_nested_switch_allowed():
-    state = SweepState((3, 2, 1, 0))  # pairs (1,4) and (2,3): nested
-    out = sweep_step(state, X(3), decide_switch=True)
-    assert out is not DEAD and out.switches == 1
+    pairing = (3, 2, 1, 0)  # pairs (1,4) and (2,3): nested
+    assert sweep_step(pairing, X(3), switch=True) == pairing
 
 
 def test_sweep_step_right_cusp():
-    state = SweepState((1, 0, 3, 2))
-    out = sweep_step(state, R(1))
-    assert out is not DEAD and out.pairing == (1, 0)
-    bad = SweepState((2, 3, 0, 1))
-    assert sweep_step(bad, R(1)) is DEAD
+    assert sweep_step((1, 0, 3, 2), R(1)) == (1, 0)
+    assert sweep_step((2, 3, 0, 1), R(1)) is None
 
 
 # -- enumeration examples
@@ -142,6 +144,52 @@ def test_sweep_matches_oracle_on_random_fronts():
         assert switch_sets(enumerate_rulings(w)) == switch_sets(
             enumerate_rulings_bruteforce(w)
         )
+
+
+def test_oriented_sweep_matches_oracle_on_census():
+    # Every orientation of every closed word of <= 7 letters on <= 6 strands.
+    # The sweep lists rulings depth first and the oracle in bit order, so
+    # the switch sets are compared sorted.
+    n = 0
+    for w in closed_words(7, 6):
+        for of in all_orientations(w):
+            assert switch_sets(enumerate_rulings(w, of)) == switch_sets(
+                enumerate_rulings_bruteforce(w, of)
+            ), (w.render(), of.choices)
+            n += 1
+    assert n == 19088
+
+
+def test_enumeration_is_not_bounded_by_recursion_depth():
+    # 600 split eyes: one ruling, reached through 1200 letters.
+    w = parse_front("l1 r1 " * 600)
+    with recursion_headroom(100):
+        assert enumerate_rulings(w) == [Ruling(())]
+        assert enumerate_rulings(w, orient(w)) == [Ruling(())]
+        assert ruling_polynomial(w, memo=False) == parse_poly1("z^-599")
+
+
+def test_sweep_skips_the_switch_branch_at_negative_crossings(monkeypatch):
+    # The orientation enters only as the mask of positive crossings: the
+    # oriented sweep never tries a switch at a negative one.
+    import frontinv.rulings as rulings
+
+    w = parse_front("l1 l3 x2 x2 r1 r1")  # Hopf link, antiparallel by default
+    of = orient(w)
+    assert set(crossing_signs(of)) == {-1}
+    calls = []
+    real = rulings.sweep_step
+
+    def counted(pairing, letter, switch=False):
+        calls.append(switch)
+        return real(pairing, letter, switch)
+
+    monkeypatch.setattr(rulings, "sweep_step", counted)
+    assert oriented_ruling_polynomial(of) == parse_poly1("z^-1")
+    assert calls and True not in calls
+    calls.clear()
+    assert enumerate_rulings(w, of) == [Ruling(())]
+    assert calls and True not in calls
 
 
 def test_fixtures_match_oracle_and_sweep():
