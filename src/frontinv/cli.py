@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .diagram import from_oriented_front, pd_export, pd_import
-from .errors import FrontError
+from .errors import BadArgument, FrontError, LimitExceeded
 from .front import (
     FrontWord,
     Move,
@@ -36,10 +36,20 @@ CROSSING_CAP = 14
 # verify checks Theorem 4.1 on every reversal pair of orientations, 2^(k-1)
 # pairs for k components, up to this many; past it the front is unchecked.
 ORIENTATION_PAIR_BUDGET = 16
+# rulings --list refuses a front with more rulings than this; the count
+# alone comes from the polynomial at any size.
+LIST_LIMIT = 100_000
 
 
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _int_arg(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise BadArgument(f"{what} must be an integer, got {text!r}") from None
 
 
 def _check_cap(n_crossings: int, force: bool) -> None:
@@ -79,6 +89,10 @@ def cmd_rulings(args) -> int:
         "polynomial": str(poly),
     }
     if args.list:
+        if out["count"] > LIST_LIMIT:
+            raise LimitExceeded(
+                f"{out['count']} rulings; --list prints at most {LIST_LIMIT}"
+            )
         rulings = enumerate_rulings(word, of)
         out["rulings"] = sorted([list(r.switches) for r in rulings])
     _emit(out)
@@ -223,8 +237,8 @@ def _parse_move(text: str) -> Move:
     m = None
     for p in parts[1:]:
         if p.startswith("m="):
-            m = int(p[2:])
-    return Move(rule, int(site), inverse, m)
+            m = _int_arg(p[2:], "--apply m")
+    return Move(rule, _int_arg(site, "--apply SITE"), inverse, m)
 
 
 def cmd_moves(args) -> int:
@@ -234,6 +248,8 @@ def cmd_moves(args) -> int:
         word = apply_move(word, mv.rule, mv.site, inverse=mv.inverse, m=mv.m)
         applied = [mv.as_str()]
     else:
+        if args.random < 0:
+            raise BadArgument(f"--random must be at least 0, got {args.random}")
         word, moves = random_move_sequence(word, args.random, args.seed)
         applied = [mv.as_str() for mv in moves]
     _emit({"front": word.render(), "applied": applied})
@@ -243,7 +259,7 @@ def cmd_moves(args) -> int:
 def cmd_stabilize(args) -> int:
     word, _ = parse_front_file(Path(args.path).read_text())
     gap, _, pos = args.site.partition(":")
-    word = stabilize(word, int(gap), int(pos), args.flavor)
+    word = stabilize(word, _int_arg(gap, "--site GAP"), _int_arg(pos, "--site POS"), args.flavor)
     _emit({"front": word.render()})
     return 0
 

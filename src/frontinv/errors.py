@@ -38,3 +38,11 @@ class FuelExhausted(FrontError):
 
 class InternalInconsistency(FrontError):
     code = "INTERNAL_INCONSISTENCY"
+
+
+class BadArgument(FrontError):
+    code = "BAD_ARGUMENT"
+
+
+class LimitExceeded(FrontError):
+    code = "LIMIT_EXCEEDED"

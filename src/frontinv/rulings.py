@@ -252,7 +252,6 @@ def _polynomial_from_rulings(rulings: Sequence[Ruling], c: int) -> LaurentPoly:
 
 def _polynomial_memo(word: FrontWord, of: OrientedFront | None) -> LaurentPoly:
     """Sweep with branch merging: equal pairings share one weight."""
-    z = LaurentPoly.monomial
     current: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one()}
     for let, may_switch in zip(word.letters, _switch_mask(word, of)):
         nxt: dict[tuple[int, ...], LaurentPoly] = {}
@@ -263,7 +262,7 @@ def _polynomial_memo(word: FrontWord, of: OrientedFront | None) -> LaurentPoly:
             if may_switch:
                 p = sweep_step(pairing, let, switch=True)
                 if p is not None:
-                    switched = weight * z(1)
+                    switched = weight.shift(1)
                     nxt[p] = nxt[p] + switched if p in nxt else switched
         current = nxt
         if not current:

@@ -65,6 +65,11 @@ def test_rulings_count_without_listing(capsys, tmp_path):
     assert "rulings" not in data
     # T(2,n) twist: C((n+s)/2, s) rulings with s switches, s = n mod 2
     assert data["count"] == sum(comb((n + s) // 2, s) for s in range(0, n + 1, 2))
+    # listing them is refused from the count, before any enumeration
+    assert data["count"] > cli.LIST_LIMIT
+    code, out, err = run_cli(capsys, "rulings", str(f), "--list")
+    assert code == 2 and out == ""
+    assert err.startswith("error [LIMIT_EXCEEDED]: ") and err.count("\n") == 1
 
 
 def test_poly_ruling_unknot(capsys):
@@ -208,6 +213,24 @@ def test_moves_random_deterministic(capsys):
     _, out2, _ = run_cli(capsys, "moves", path, "--random", "10", "--seed", "3")
     assert out1 == out2
     assert len(json.loads(out1)["applied"]) == 10
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("stabilize", "--site", "x:1"),
+        ("stabilize", "--site", "1"),
+        ("moves", "--apply", "comm@x"),
+        ("moves", "--apply", "comm"),
+        ("moves", "--apply", "type3@1,m=z"),
+        ("moves", "--random", "-5"),
+    ],
+)
+def test_bad_arguments_end_in_one_coded_line(capsys, args):
+    command, *rest = args
+    code, out, err = run_cli(capsys, command, str(CORPUS / "trefoil.front"), *rest)
+    assert code == 2 and out == ""
+    assert err.startswith("error [BAD_ARGUMENT]: ") and err.count("\n") == 1
 
 
 def test_stabilize(capsys):

@@ -192,6 +192,34 @@ def test_sweep_skips_the_switch_branch_at_negative_crossings(monkeypatch):
     assert calls and True not in calls
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "l1 l3 " + "x2 " * 101 + "r1 r1",
+        "l1 l2 l3 l4 l5 " + "x1 x3 x2 x4 " * 8 + "r5 r4 r3 r2 r1",
+    ],
+    ids=["T(2,101)", "5-strand-closure"],
+)
+def test_sweep_makes_no_polynomial_product(monkeypatch, text):
+    # A switch multiplies a weight by z, which is a shift of its exponents.
+    calls = []
+    real = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+    w = parse_front(text)
+    of = orient(w)
+    assert set(crossing_signs(of)) == {1}  # the oriented sweep switches everywhere too
+    R = ruling_polynomial(w)
+    assert oriented_ruling_polynomial(of) == R
+    assert sum(R.terms.values()) > 1
+    assert calls == []
+
+
 def test_fixtures_match_oracle_and_sweep():
     for name, word in corpus_words():
         fix = expected_fixture(name)
