@@ -39,6 +39,9 @@ ORIENTATION_PAIR_BUDGET = 16
 # rulings --list refuses a front with more rulings than this; the count
 # alone comes from the polynomial at any size.
 LIST_LIMIT = 100_000
+# moves --random refuses more moves than this; each move rebuilds the word,
+# so the time grows with the square of the count.
+MOVES_LIMIT = 1_000
 
 
 def _emit(obj) -> None:
@@ -250,6 +253,8 @@ def cmd_moves(args) -> int:
     else:
         if args.random < 0:
             raise BadArgument(f"--random must be at least 0, got {args.random}")
+        if args.random > MOVES_LIMIT:
+            raise LimitExceeded(f"--random {args.random} exceeds the limit of {MOVES_LIMIT} moves")
         word, moves = random_move_sequence(word, args.random, args.seed)
         applied = [mv.as_str() for mv in moves]
     _emit({"front": word.render(), "applied": applied})
@@ -314,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--apply", help="rule@site[,inverse][,m=K]")
-    g.add_argument("--random", type=int, help="apply N random moves")
+    g.add_argument("--random", type=int, help=f"apply N random moves, N <= {MOVES_LIMIT}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_moves)
 

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from itertools import accumulate
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import FrontError, MoveNotApplicable, ParseError
 
@@ -57,10 +58,10 @@ def R(m: int) -> Letter:
 
 
 def _letter_from_token(tok: str, line: int, col: int) -> Letter:
-    kind = tok[:1]
-    if kind not in ("l", "x", "r") or not tok[1:].isdigit():
+    kind, digits = tok[:1], tok[1:]
+    if kind not in ("l", "x", "r") or not (digits.isascii() and digits.isdigit()):
         raise ParseError("UNKNOWN_TOKEN", f"unknown token {tok!r}", line=line, col=col)
-    index = int(tok[1:])
+    index = int(digits)
     if index < 1:
         raise ParseError("INDEX_OUT_OF_RANGE", f"index must be positive in {tok!r}", line=line, col=col)
     return Letter(kind, index)
@@ -69,8 +70,12 @@ def _letter_from_token(tok: str, line: int, col: int) -> Letter:
 _LETTER_DELTA = {"l": 2, "x": 0, "r": -2}
 
 
-def letter_delta(kind: str) -> int:
-    return _LETTER_DELTA[kind]
+def strand_counts(letters: Iterable[Letter]) -> list[int]:
+    """Strand count before each letter, plus the final count."""
+    # A list, not tuple(accumulate(...)): tuple() over an iterator of unknown
+    # length allocates at a guessed size and resizes, so the tuples it frees
+    # pile up on the free list of their final length (up to 2000 a length).
+    return list(accumulate((_LETTER_DELTA[let.kind] for let in letters), initial=0))
 
 
 def _check_letter(letter: Letter, n: int) -> bool:
@@ -99,7 +104,7 @@ class FrontWord:
                     "INDEX_OUT_OF_RANGE",
                     f"letter {let} out of range on {n} strands (word position {pos})",
                 )
-            n += letter_delta(let.kind)
+            n += _LETTER_DELTA[let.kind]
         if n != 0:
             raise ParseError("NOT_CLOSED", f"final strand count is {n}, expected 0")
         object.__setattr__(self, "letters", letters)
@@ -127,10 +132,7 @@ class FrontWord:
     @property
     def strand_counts(self) -> tuple[int, ...]:
         """Strand count before each letter, plus the final count."""
-        counts = [0]
-        for let in self.letters:
-            counts.append(counts[-1] + letter_delta(let.kind))
-        return tuple(counts)
+        return tuple(strand_counts(self.letters))
 
     @property
     def num_crossings(self) -> int:
@@ -210,7 +212,7 @@ def parse_front_file(text: str) -> tuple[FrontWord, dict[int, bool]]:
             if body:
                 for item in body.split(","):
                     comp, _, sign = item.strip().partition("=")
-                    if sign not in ("+", "-") or not comp.isdigit():
+                    if sign not in ("+", "-") or not (comp.isascii() and comp.isdigit()):
                         raise ParseError("UNKNOWN_TOKEN", f"bad orient entry {item!r}")
                     flags[int(comp)] = sign == "+"
             token_lines.append("")
@@ -270,45 +272,49 @@ def occupancy(word: FrontWord) -> Occupancy:
 
 
 class Components(NamedTuple):
+    """The link components of a word and their default orientation.
+
+    Components are numbered 1.. by the word position of their first left
+    cusp.  ``dirs`` is the default direction of every strand: the upper
+    strand at each component's first left cusp travels RIGHT, and the
+    direction flips at every cusp along the component.
+    """
+
     comp_of: tuple[int, ...]       # strand id -> 1-based component id
     n_components: int
-    first_cusp: tuple[int, ...]    # component id-1 -> word position of its first left cusp
+    dirs: tuple[int, ...]          # strand id -> RIGHT or LEFT, default orientation
 
 
 @lru_cache(maxsize=4096)
 def components(word: FrontWord) -> Components:
-    """Partition strands into link components, numbered by first left cusp."""
+    """Walk each component's cusp cycle once, from its first left cusp."""
     occ = occupancy(word)
-    parent = list(range(occ.n_strands))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
-    for _, (u, v) in occ.left_cusps + occ.right_cusps:
-        union(u, v)
-
-    root_first_cusp: dict[int, int] = {}
-    for t, (u, _) in occ.left_cusps:
-        r = find(u)
-        root_first_cusp.setdefault(r, t)
-    ordered_roots = sorted(root_first_cusp, key=root_first_cusp.get)
-    comp_id = {r: i + 1 for i, r in enumerate(ordered_roots)}
-    comp_of = tuple(comp_id[find(s)] for s in range(occ.n_strands))
-    first = tuple(root_first_cusp[r] for r in ordered_roots)
-    return Components(comp_of, len(ordered_roots), first)
+    n = occ.n_strands
+    right_mate = [0] * n
+    for _, (u, v) in occ.right_cusps:
+        right_mate[u], right_mate[v] = v, u
+    comp_of = [0] * n
+    dirs = [0] * n
+    k = 0
+    # Strand ids go in birth order, so the left cusps' upper strands are the
+    # even ids in word order and the left-cusp mate of strand s is s ^ 1.
+    for start in range(0, n, 2):
+        if comp_of[start]:
+            continue
+        k += 1
+        s = start
+        while not comp_of[s]:
+            e = right_mate[s]
+            comp_of[s] = comp_of[e] = k
+            dirs[s], dirs[e] = RIGHT, LEFT
+            s = e ^ 1
+    return Components(tuple(comp_of), k, tuple(dirs))
 
 
 class OrientedFront(NamedTuple):
     """A front word with a consistent travel direction on every strand."""
 
     word: FrontWord
-    comp_of: tuple[int, ...]
     dirs: tuple[int, ...]          # strand id -> RIGHT or LEFT
     choices: tuple[bool, ...]      # per component: True = default direction
 
@@ -320,35 +326,17 @@ class OrientedFront(NamedTuple):
 def orient(word: FrontWord, choices: Mapping[int, bool] | None = None) -> OrientedFront:
     """Assign directions; ``choices`` maps component id -> flag (True=default).
 
-    Missing components take the default: the upper strand at the component's
-    first left cusp travels RIGHT.
+    Missing components take the default (``Components.dirs``); a component
+    whose flag is False has every strand's default direction negated.
     """
-    occ = occupancy(word)
     comp = components(word)
     flags = tuple(
         (choices or {}).get(cid, True) for cid in range(1, comp.n_components + 1)
     )
-
-    dirs: list[int] = [0] * occ.n_strands
-    # Seed each component at its first cusp, then propagate across cusps
-    # (directions alternate along the component cycle).
-    adj: dict[int, list[int]] = {s: [] for s in range(occ.n_strands)}
-    for _, (u, v) in occ.left_cusps + occ.right_cusps:
-        adj[u].append(v)
-        adj[v].append(u)
-    for cid0, t in enumerate(comp.first_cusp):
-        upper = next(pair[0] for pos, pair in occ.left_cusps if pos == t)
-        dirs[upper] = RIGHT if flags[cid0] else LEFT
-        stack = [upper]
-        seen = {upper}
-        while stack:
-            s = stack.pop()
-            for other in adj[s]:
-                if other not in seen:
-                    seen.add(other)
-                    dirs[other] = -dirs[s]
-                    stack.append(other)
-    return OrientedFront(word, comp.comp_of, tuple(dirs), flags)
+    dirs = comp.dirs
+    if not all(flags):
+        dirs = tuple([d if flags[c - 1] else -d for d, c in zip(dirs, comp.comp_of)])
+    return OrientedFront(word, dirs, flags)
 
 
 def all_orientations(word: FrontWord) -> list[OrientedFront]:
@@ -616,9 +604,7 @@ def applicable_moves(word: FrontWord, *, include_insertions: bool = True) -> lis
     return out
 
 
-def random_move_sequence(
-    word: FrontWord, n_moves: int, seed: int, *, include_insertions: bool = True
-) -> tuple[FrontWord, list[Move]]:
+def random_move_sequence(word: FrontWord, n_moves: int, seed: int) -> tuple[FrontWord, list[Move]]:
     """Apply ``n_moves`` randomly sampled applicable moves (seeded).
 
     Moves are drawn by rejection sampling over (rule, site, parameters), so
@@ -636,7 +622,7 @@ def random_move_sequence(
             if rule == "comm":
                 mv = Move("comm", rng.randrange(max(1, len(current.letters) - 1)))
             elif rule in ("type1_lo", "type1_hi"):
-                if include_insertions and rng.random() < 0.5:
+                if rng.random() < 0.5:
                     site = rng.randrange(len(current.letters) + 1)
                     n = counts[site]
                     lo, hi = (2, n + 1) if rule == "type1_lo" else (1, n)

@@ -68,7 +68,7 @@ from __future__ import annotations
 import sys
 
 from .errors import FuelExhausted, InternalInconsistency
-from .front import FrontWord, L, Letter, R, X, letter_delta, swap_adjacent_all
+from .front import FrontWord, L, Letter, R, X, strand_counts, swap_adjacent_all
 from .poly import LaurentPoly
 
 Letters = tuple[Letter, ...]
@@ -195,15 +195,8 @@ def canonicalize(word: FrontWord) -> FrontWord:
 # The reduction machine
 
 
-def _strand_counts(letters: Letters) -> list[int]:
-    counts = [0]
-    for let in letters:
-        counts.append(counts[-1] + letter_delta(let.kind))
-    return counts
-
-
 def _split_factors(letters: Letters) -> list[Letters]:
-    counts = _strand_counts(letters)
+    counts = strand_counts(letters)
     factors = []
     start = 0
     for t in range(1, len(letters) + 1):
@@ -259,7 +252,7 @@ class _Machine:
         t0 = max(t for t, let in enumerate(letters) if let.kind == "l")
         self.X = list(letters[:t0])
         self.m = letters[t0].index
-        self.n_strands = _strand_counts(letters)[t0] + 2
+        self.n_strands = strand_counts(letters)[t0] + 2
         self.n1 = 0
         self.n2 = 0
         self.Y = list(letters[t0 + 1:])

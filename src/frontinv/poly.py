@@ -4,8 +4,9 @@ One class, :class:`LaurentPoly`, serves both the one-variable polynomials in
 ``z`` (ruling polynomials, B and Q) and the two-variable ones in ``(z, a)``
 (the Dubrovnik and HOMFLY polynomials).  Coefficients are Python ints, so
 arithmetic is exact at any size.  Values are immutable and hashable; the zero
-polynomial is the empty term map, and ``deg_a`` of the zero polynomial is the
-distinguished :data:`NEG_INFINITY` marker rather than a sentinel integer.
+polynomial is the empty term map, and ``deg_a`` of the zero polynomial is
+:data:`NEG_INFINITY`, which is ``float("-inf")`` and so compares below every
+integer degree.
 
 Key layout: the term map is ``dict[int, int]``, and the term z^i a^j has the
 key ``i + j * 2**32``.  Multiplying monomials adds their keys, so products and
@@ -26,41 +27,7 @@ from typing import Iterable, Mapping
 
 _A = 1 << 32          # key step of one power of a
 _HALF = 1 << 31       # exponents lie strictly between -_HALF and _HALF
-
-
-class _NegInfinity:
-    """Degree of the zero polynomial; compares below every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NEG_INFINITY"
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInfinity)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInfinity)
-
-    def __eq__(self, other):
-        return isinstance(other, _NegInfinity)
-
-    def __hash__(self):
-        return hash("NEG_INFINITY")
-
-
-NEG_INFINITY = _NegInfinity()
+NEG_INFINITY = float("-inf")  # deg_a of the zero polynomial
 
 
 def _decode(key: int) -> tuple[int, int]:
@@ -173,7 +140,7 @@ def coeff_a(p: LaurentPoly, n: int) -> LaurentPoly:
 
 
 def deg_a(p: LaurentPoly):
-    """Maximal a-exponent with nonzero coefficient, or NEG_INFINITY for 0."""
+    """Maximal a-exponent with nonzero coefficient; ``float("-inf")`` for 0."""
     if p.is_zero():
         return NEG_INFINITY
     return (max(p._terms) + _HALF) >> 32

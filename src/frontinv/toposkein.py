@@ -187,13 +187,10 @@ def Q_of(of: FrontWord | OrientedFront, **kw) -> LaurentPoly:
 
 class SharpnessReport(NamedTuple):
     beta: int
-    deg_a_D: object
-    deg_a_H: object
     kauffman_sharp: bool
     homfly_sharp: bool
     B: LaurentPoly
     Q: LaurentPoly
-    homfly_bound_strengthened: bool
 
 
 def sharpness(front: FrontWord | OrientedFront, **kw) -> SharpnessReport:
@@ -203,8 +200,7 @@ def sharpness(front: FrontWord | OrientedFront, **kw) -> SharpnessReport:
     nonzero, and the a-degree of the polynomial hitting c-1); disagreement
     raises InternalInconsistency, as does a writhe of Top(K) that differs
     from the front's.  Given equal writhes, beta = -deg_a(F) - 1 is the
-    second Kauffman test restated.  ``homfly_bound_strengthened`` reports
-    the cases where deg_a P exceeds deg_a F, in which beta < -deg_a(P) - 1.
+    second Kauffman test restated.
     """
     of = _as_oriented(front)
     inv = invariants(of)
@@ -229,6 +225,4 @@ def sharpness(front: FrontWord | OrientedFront, **kw) -> SharpnessReport:
         raise InternalInconsistency(
             f"HOMFLY sharpness computations disagree: {h1}, {h2}"
         )
-    # P and F share the factor a**-w, so their a-degrees compare as H and D's.
-    strengthened = deg_a(H) > deg_a(D) if not H.is_zero() else False
-    return SharpnessReport(inv.beta, deg_a(D), deg_a(H), k1, h1, B, Q, strengthened)
+    return SharpnessReport(inv.beta, k1, h1, B, Q)

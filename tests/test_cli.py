@@ -215,6 +215,26 @@ def test_moves_random_deterministic(capsys):
     assert len(json.loads(out1)["applied"]) == 10
 
 
+def test_moves_random_limit(capsys, monkeypatch):
+    path = str(CORPUS / "trefoil.front")
+    made = []
+    monkeypatch.setattr(cli, "random_move_sequence", lambda w, n, seed: made.append(n) or (w, []))
+    code, out, err = run_cli(capsys, "moves", path, "--random", str(cli.MOVES_LIMIT + 1))
+    assert code == 2 and out == "" and made == []
+    assert err.startswith("error [LIMIT_EXCEEDED]: ") and err.count("\n") == 1
+    code, _, _ = run_cli(capsys, "moves", path, "--random", str(cli.MOVES_LIMIT))
+    assert code == 0 and made == [cli.MOVES_LIMIT]
+
+
+@pytest.mark.parametrize("text", ["l1 x\u00b2 r1\n", "l\u0661 r1\n", "orient: \u00b9=+\nl1 r1\n"])
+def test_non_ascii_digits_end_in_one_coded_line(capsys, tmp_path, text):
+    f = tmp_path / "w.front"
+    f.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error [UNKNOWN_TOKEN]: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "args",
     [

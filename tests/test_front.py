@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_fronts
+from conftest import closed_words, random_fronts
 
 from frontinv.diagram import from_oriented_front, writhe
 from frontinv.errors import MoveNotApplicable, ParseError
@@ -160,6 +160,40 @@ def test_all_orientations_computes_components_once():
     orientations = all_orientations(w)
     assert len(orientations) == 32
     assert components.cache_info().misses == 1
+
+
+def test_orientations_follow_the_definition_on_the_census():
+    # Every orientation of every closed word of <= 7 letters on <= 6 strands,
+    # checked against the strands and cusps of occupancy() alone.
+    n_orientations = 0
+    for w in closed_words(7, 6):
+        occ = occupancy(w)
+        comp_of = components(w).comp_of
+        cusps = [pair for _, pair in occ.left_cusps + occ.right_cusps]
+        # each component id names one connected cycle of cusps
+        for cid in set(comp_of):
+            members = {s for s, c in enumerate(comp_of) if c == cid}
+            reached = {min(members)}
+            while True:
+                grown = reached | {v for pair in cusps if reached & set(pair) for v in pair}
+                if grown == reached:
+                    break
+                reached = grown
+            assert reached == members
+        # ids are numbered by the position of each component's first left cusp
+        firsts = {}
+        for _, (upper, _) in occ.left_cusps:
+            firsts.setdefault(comp_of[upper], upper)
+        assert list(firsts) == list(range(1, len(firsts) + 1))
+        default, *others = all_orientations(w)
+        assert all(default.dirs[upper] == RIGHT for upper in firsts.values())
+        for of in (default, *others):
+            assert all(of.dirs[u] == -of.dirs[v] for u, v in cusps)
+            assert set(of.dirs) <= {RIGHT, LEFT}
+            flips = [1 if of.choices[c - 1] else -1 for c in comp_of]
+            assert of.dirs == tuple(d * f for d, f in zip(default.dirs, flips))
+            n_orientations += 1
+    assert n_orientations == 19_088
 
 
 def test_default_orientation_unknot():
