@@ -10,19 +10,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import __version__
+from .check import check_front, front_ok
 from .diagram import from_oriented_front, pd_export, pd_import
 from .errors import BadArgument, FrontError, LimitExceeded
 from .front import (
     FrontWord,
     Move,
-    all_orientations,
     apply_move,
     components,
     invariants,
+    occupancy,
     orient,
     parse_front_file,
     random_move_sequence,
@@ -30,12 +30,9 @@ from .front import (
 )
 from .legskein import evaluate_B
 from .rulings import enumerate_rulings, oriented_ruling_polynomial, ruling_polynomial
-from .toposkein import B_of, Q_of, homfly_H, kauffman_D, sharpness
+from .toposkein import B_of, Q_of, homfly_H, kauffman_D
 
 CROSSING_CAP = 14
-# verify checks Theorem 4.1 on every reversal pair of orientations, 2^(k-1)
-# pairs for k components, up to this many; past it the front is unchecked.
-ORIENTATION_PAIR_BUDGET = 16
 # rulings --list refuses a front with more rulings than this; the count
 # alone comes from the polynomial at any size.
 LIST_LIMIT = 100_000
@@ -55,10 +52,20 @@ def _int_arg(text: str, what: str) -> int:
         raise BadArgument(f"{what} must be an integer, got {text!r}") from None
 
 
-def _check_cap(n_crossings: int, force: bool) -> None:
-    if n_crossings > CROSSING_CAP and not force:
+def _free_loops(word: FrontWord) -> int:
+    """Components of the front that meet no crossing."""
+    comp = components(word)
+    crossed = {comp.comp_of[s] for _, pair in occupancy(word).crossing_pairs for s in pair}
+    return comp.n_components - len(crossed)
+
+
+def _check_cap(n_crossings: int, free_loops: int, force: bool) -> None:
+    # The skein routes multiply in a loop factor per crossingless loop, so
+    # loops count toward the cap as crossings do.
+    if n_crossings + free_loops > CROSSING_CAP and not force:
         raise FrontError(
-            f"input has {n_crossings} crossings (cap {CROSSING_CAP}); rerun with --force"
+            f"input has {n_crossings} crossings and {free_loops} crossingless loops"
+            f" (cap {CROSSING_CAP} in all); rerun with --force"
         )
 
 
@@ -107,14 +114,14 @@ def cmd_poly(args) -> int:
         if args.which not in ("kauffman", "homfly"):
             raise FrontError(f"--which {args.which} needs a .front input")
         d = pd_import(Path(args.path).read_text())
-        _check_cap(d.n_crossings, args.force)
+        _check_cap(d.n_crossings, d.free_loops, args.force)
         value = kauffman_D(d) if args.which == "kauffman" else homfly_H(d)
         _emit({args.which: str(value)})
         return 0
     word, flags = parse_front_file(Path(args.path).read_text())
     if args.which not in ("ruling", "oruling"):
         # The cap is for the skein routes; the ruling sweep builds no tree.
-        _check_cap(word.num_crossings, args.force)
+        _check_cap(word.num_crossings, _free_loops(word), args.force)
     of = orient(word, flags)
     if args.which == "ruling":
         out = str(ruling_polynomial(word))
@@ -141,71 +148,6 @@ def cmd_poly(args) -> int:
     return 0
 
 
-def _verify_front(word: FrontWord, flags, timings: bool) -> dict:
-    ms = dict.fromkeys(("sweep", "rewrite", "skein"), 0.0)
-
-    def timed(route, fn, *args):
-        t = time.perf_counter()
-        value = fn(*args)
-        ms[route] += time.perf_counter() - t
-        return value
-
-    t0 = time.perf_counter()
-    n_pairs = 2 ** (components(word).n_components - 1)
-    # all_orientations lists the default orientation first.
-    orientations = all_orientations(word) if n_pairs <= ORIENTATION_PAIR_BUDGET else None
-    default = orientations[0] if orientations else orient(word)
-    R = timed("sweep", ruling_polynomial, word)
-    B_leg = timed("rewrite", evaluate_B, word)
-    # One skein tree per polynomial: the report's B and Q are [a^(c-1)] of D
-    # and of H under the default orientation.
-    rep = timed("skein", sharpness, default)
-    record: dict = {
-        "beta": invariants(orient(word, flags)).beta if flags else rep.beta,
-        "R": str(R),
-        "B_leg": str(B_leg),
-        "B_topo": str(rep.B),
-        "agree_3_1": R == B_leg == rep.B,
-        "kauffman_sharp": rep.kauffman_sharp,
-        "homfly_sharp": rep.homfly_sharp,
-    }
-    if orientations:
-        # Reversing every component changes neither H (HOMFLY is invariant
-        # under global reversal, and the writhe is unchanged) nor the oriented
-        # ruling polynomial (the sweep reads the orientation only through
-        # crossing signs, which a global reversal keeps).  So each reversal
-        # pair is evaluated once, on the orientation with choices[0] true.
-        by_choices = {of.choices: of for of in orientations}
-        values: dict = {}
-        oriented_records = []
-        agree_4_1 = True
-        for of in orientations:
-            key = of.choices if of.choices[0] else tuple(not c for c in of.choices)
-            if key not in values:
-                pair = by_choices[key]
-                OR = timed("sweep", oriented_ruling_polynomial, pair)
-                Q = rep.Q if all(key) else timed("skein", Q_of, pair)
-                values[key] = (OR, Q)
-            OR, Q = values[key]
-            agree_4_1 = agree_4_1 and OR == Q
-            oriented_records.append(
-                {
-                    "choices": "".join("+" if c else "-" for c in of.choices),
-                    "OR": str(OR),
-                    "Q": str(Q),
-                }
-            )
-        record["oriented"] = oriented_records
-        record["agree_4_1"] = agree_4_1
-    else:
-        # null: Theorem 4.1 was not checked on this front.
-        record["agree_4_1"] = None
-    if timings:
-        ms["total"] = time.perf_counter() - t0
-        record["ms"] = {route: round(1000 * s, 1) for route, s in ms.items()}
-    return record
-
-
 def cmd_verify(args) -> int:
     corpus = Path(args.corpus)
     paths = sorted(corpus.glob("*.front"))
@@ -215,18 +157,10 @@ def cmd_verify(args) -> int:
     all_ok = True
     for path in paths:
         word, flags = parse_front_file(path.read_text())
-        _check_cap(word.num_crossings, args.force)
-        record = _verify_front(word, flags, args.timings)
-        front_ok = True
-        if args.theorem in ("3.1", "corollaries"):
-            front_ok = front_ok and record["agree_3_1"]
-        if args.theorem == "4.1":
-            front_ok = front_ok and record["agree_4_1"] is True
-        if args.theorem == "corollaries":
-            if record["homfly_sharp"] and not record["kauffman_sharp"]:
-                front_ok = False
-        record["ok"] = front_ok
-        all_ok = all_ok and front_ok
+        _check_cap(word.num_crossings, _free_loops(word), args.force)
+        record = check_front(word, flags, timings=args.timings)
+        record["ok"] = front_ok(record, args.theorem)
+        all_ok = all_ok and record["ok"]
         report["fronts"][path.stem] = record
     report["all_agree"] = all_ok
     _emit(report)

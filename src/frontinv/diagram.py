@@ -311,6 +311,44 @@ def pd_export(d: PlanarDiagram) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _check_planar(nbr: list[int]) -> None:
+    """Raise NOT_PLANAR unless the ports can be drawn in the plane.
+
+    A face is a cycle of ``p -> nbr[next port counterclockwise]``.  By
+    Euler's formula, n crossings in k connected pieces drawn in the plane
+    bound exactly n + 2k faces; any other gluing of the ports has fewer.
+    """
+    n = len(nbr) // 4
+    faces = 0
+    seen = [False] * (4 * n)
+    for start in range(4 * n):
+        if not seen[start]:
+            faces += 1
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                p = nbr[(p & ~3) | ((p + 1) & 3)]
+    pieces = 0
+    reached = [False] * n
+    for start in range(n):
+        if not reached[start]:
+            pieces += 1
+            reached[start] = True
+            stack = [start]
+            while stack:
+                c = stack.pop()
+                for p in range(4 * c, 4 * c + 4):
+                    c2 = nbr[p] >> 2
+                    if not reached[c2]:
+                        reached[c2] = True
+                        stack.append(c2)
+    if faces != n + 2 * pieces:
+        raise ParseError(
+            "NOT_PLANAR",
+            f"{n} crossings in {pieces} pieces bound {faces} faces, not {n + 2 * pieces}",
+        )
+
+
 def pd_import(text: str) -> PlanarDiagram:
     """Rebuild a diagram from PD text.
 
@@ -346,6 +384,7 @@ def pd_import(text: str) -> PlanarDiagram:
             raise ParseError("UNKNOWN_TOKEN", f"arc label {lab} appears {len(ports)} times")
         nbr[ports[0]] = ports[1]
         nbr[ports[1]] = ports[0]
+    _check_planar(nbr)
 
     flow: dict[int, int] = {}  # +1 in, -1 out
 

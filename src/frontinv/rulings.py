@@ -101,29 +101,57 @@ class Ruling(NamedTuple):
         return len(self.switches)
 
 
+def _live_steps(letters: Sequence[Letter], mask: Sequence[bool]) -> list[dict]:
+    """Per letter, a map from every pairing that is reachable there and still
+    ends in a ruling to its (plain, switched) next pairings; a step that
+    leads to no ruling is None."""
+    steps = []
+    reached: set[tuple[int, ...]] = {()}
+    for let, may_switch in zip(letters, mask):
+        step = {
+            p: (sweep_step(p, let), sweep_step(p, let, switch=True) if may_switch else None)
+            for p in reached
+        }
+        steps.append(step)
+        reached = {q for pair in step.values() for q in pair if q is not None}
+    live = reached  # {()} or empty: a closed word ends with no strands
+    for step in reversed(steps):
+        for p, (plain, switched) in list(step.items()):
+            plain = plain if plain in live else None
+            switched = switched if switched in live else None
+            if plain is None and switched is None:
+                del step[p]
+            else:
+                step[p] = (plain, switched)
+        live = set(step)
+    return steps
+
+
 def enumerate_rulings(word: FrontWord, of: OrientedFront | None = None) -> list[Ruling]:
     """All rulings, in depth-first order exploring non-switch before switch.
 
-    Given an orientation ``of`` of the word, only its oriented rulings.
+    Given an orientation ``of`` of the word, only its oriented rulings.  The
+    walk enters only pairings that still end in a ruling, so past one pass
+    over the reachable pairings its cost is at most the number of rulings
+    times the word's length.
     """
     letters = word.letters
-    mask = _switch_mask(word, of)
+    steps = _live_steps(letters, _switch_mask(word, of))
     ordinals = tuple(accumulate(let.kind == "x" for let in letters))
     out: list[Ruling] = []
     # An explicit stack, so the depth of a word is not bounded by Python's
     # recursion limit.  The switch branch is pushed first and popped last.
-    stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), ())]
+    stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    if not steps or () in steps[0]:
+        stack.append((0, (), ()))
     while stack:
         t, pairing, chosen = stack.pop()
         if t == len(letters):
             out.append(Ruling(chosen))
             continue
-        let = letters[t]
-        plain = sweep_step(pairing, let)
-        if mask[t]:
-            switched = sweep_step(pairing, let, switch=True)
-            if switched is not None:
-                stack.append((t + 1, switched, chosen + (ordinals[t],)))
+        plain, switched = steps[t][pairing]
+        if switched is not None:
+            stack.append((t + 1, switched, chosen + (ordinals[t],)))
         if plain is not None:
             stack.append((t + 1, plain, chosen))
     return out

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from frontinv.check import check_front, front_ok
 from frontinv.front import FrontWord, Letter
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,6 +91,20 @@ def closed_words(max_letters: int, max_strands: int) -> list[FrontWord]:
 
     dfs(0)
     return out
+
+
+def checked_front(word: FrontWord) -> dict:
+    """``check_front``'s record of ``word``, asserted to pass every theorem:
+    R == B_leg == B_topo, and OR == Q on every orientation."""
+    rec = check_front(word)
+    where = word.render()
+    assert rec["R"] == rec["B_leg"] == rec["B_topo"], (where, rec)
+    assert "oriented" in rec, (where, "Theorem 4.1 not checked")
+    for o in rec["oriented"]:
+        assert o["OR"] == o["Q"], (where, o)
+    for theorem in ("3.1", "4.1", "corollaries"):
+        assert front_ok(rec, theorem), (where, theorem, rec)
+    return rec
 
 
 def random_fronts(seed: int, count: int, **kw) -> list[FrontWord]:

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import corpus_words, random_fronts
 
+from frontinv.check import check_front, front_ok
 from frontinv.diagram import _smooth, _switch, crossing_sign, from_oriented_front
 from frontinv.front import (
     FrontWord,
@@ -38,13 +39,7 @@ from frontinv.rulings import (
     oriented_ruling_polynomial,
     ruling_polynomial,
 )
-from frontinv.toposkein import (
-    B_of,
-    Q_of,
-    homfly_H,
-    kauffman_D,
-    sharpness,
-)
+from frontinv.toposkein import homfly_H, kauffman_D, sharpness
 
 Z2 = LaurentPoly.monomial(1, 0)
 
@@ -54,10 +49,8 @@ def criterion_1() -> tuple[bool, str]:
     words = corpus_words()
     t0 = time.perf_counter()
     for name, word in words:
-        R_poly = ruling_polynomial(word)
-        B_leg = evaluate_B(word)
-        B_topo = B_of(word)
-        if not (R_poly == B_leg == B_topo):
+        rec = check_front(word)
+        if not (rec["R"] == rec["B_leg"] == rec["B_topo"] and front_ok(rec, "3.1")):
             return False, f"triangle broken on {name}"
     elapsed = time.perf_counter() - t0
     if elapsed >= 60:
@@ -66,12 +59,20 @@ def criterion_1() -> tuple[bool, str]:
 
 
 def criterion_2() -> tuple[bool, str]:
-    """Oriented ruling polynomial == HOMFLY coefficient, all orientations."""
+    """Oriented ruling polynomial == HOMFLY coefficient, all orientations.
+
+    ``check_front`` evaluates one orientation of each pair that differs by
+    reversing every component; test_global_reversal_invariance checks that
+    both orientations of a pair give the same values.
+    """
     checked = 0
     for name, word in corpus_words():
-        for of in all_orientations(word):
-            if oriented_ruling_polynomial(of) != Q_of(of):
-                return False, f"oriented identity broken on {name} {of.choices}"
+        rec = check_front(word)
+        if not front_ok(rec, "4.1"):
+            return False, f"oriented identity not checked or broken on {name}"
+        for o in rec["oriented"]:
+            if o["OR"] != o["Q"]:
+                return False, f"oriented identity broken on {name} {o['choices']}"
             checked += 1
     return True, f"{checked} (front, orientation) pairs, exact equality"
 

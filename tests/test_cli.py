@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import json
+import time
 from math import comb
 
 import pytest
 
 from conftest import CORPUS, corpus_words
 
-from frontinv import cli, toposkein
+from frontinv import check, cli, rulings, toposkein
 from frontinv.cli import main
-from frontinv.front import components
+from frontinv.front import components, parse_front, stabilize
 
 
 def run_cli(capsys, *args) -> tuple[int, str, str]:
@@ -70,6 +71,29 @@ def test_rulings_count_without_listing(capsys, tmp_path):
     code, out, err = run_cli(capsys, "rulings", str(f), "--list")
     assert code == 2 and out == ""
     assert err.startswith("error [LIMIT_EXCEEDED]: ") and err.count("\n") == 1
+
+
+def test_rulings_list_walks_only_live_pairings(capsys, tmp_path, monkeypatch):
+    # A zig-zag after a 40-crossing twist: no ruling, so the count passes
+    # LIST_LIMIT, but a walk that only learns at the zig-zag that every
+    # branch dies would visit F(41) = 165 580 141 switch sets first.
+    front = stabilize(parse_front("l1 l3 " + "x2 " * 40 + "r1 r1"), 42, 1, "down")
+    f = tmp_path / "zigzag.front"
+    f.write_text(front.render() + "\n")
+    real = rulings.sweep_step
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        assert len(calls) <= 10_000, "the walk entered pairings that end in no ruling"
+        return real(*args, **kw)
+
+    monkeypatch.setattr(rulings, "sweep_step", counted)
+    t = time.perf_counter()
+    code, out, _ = run_cli(capsys, "rulings", str(f), "--list")
+    assert time.perf_counter() - t < 1.0
+    assert code == 0
+    assert json.loads(out) == {"count": 0, "polynomial": "0", "rulings": []}
 
 
 def test_poly_ruling_unknot(capsys):
@@ -141,7 +165,7 @@ def test_verify_evaluates_each_polynomial_once(capsys, monkeypatch):
     monkeypatch.setattr(toposkein, "kauffman_D", counting("D", toposkein.kauffman_D))
     monkeypatch.setattr(toposkein, "homfly_H", counting("H", toposkein.homfly_H))
     monkeypatch.setattr(
-        cli, "oriented_ruling_polynomial", counting("OR", cli.oriented_ruling_polynomial)
+        check, "oriented_ruling_polynomial", counting("OR", check.oriented_ruling_polynomial)
     )
     code, _, _ = run_cli(capsys, "verify", str(CORPUS))
     assert code == 0
@@ -167,7 +191,7 @@ def test_verify_checks_every_orientation_of_three_components(capsys):
 def test_verify_fails_front_past_orientation_budget(capsys, monkeypatch):
     # split3 has 4 reversal pairs; below that budget it is not checked, and
     # Theorem 4.1 must not pass it
-    monkeypatch.setattr(cli, "ORIENTATION_PAIR_BUDGET", 2)
+    monkeypatch.setattr(check, "ORIENTATION_PAIR_BUDGET", 2)
     code, out, _ = run_cli(capsys, "verify", str(CORPUS), "--theorem", "4.1")
     assert code == 1
     report = json.loads(out)
@@ -297,3 +321,40 @@ def test_crossing_cap(capsys, tmp_path):
     # a choice PD input cannot serve is refused as such, not for its size
     code, _, err = run_cli(capsys, "poly", str(pd_file), "--which", "ruling")
     assert code == 2 and "needs a .front input" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["l1 r1 " * 15, "l1 l3 " + "x2 " * 12 + "r1 r1 " + "l1 r1 " * 3],
+    ids=["15-loops", "link-and-3-loops"],
+)
+def test_crossing_cap_counts_crossingless_loops(capsys, tmp_path, text):
+    # each loop costs the skein routes a product: 15 loops, or a 12-crossing
+    # link and 3 loops, exceed the cap of 14
+    f = tmp_path / "loops.front"
+    f.write_text(text + "\n")
+    n_crossings = text.count("x")
+    loops = text.count("l1 r1")
+    assert n_crossings <= cli.CROSSING_CAP < n_crossings + loops
+    for args in (("poly", str(f), "--which", "kauffman"), ("verify", str(tmp_path))):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert f"{n_crossings} crossings and {loops} crossingless loops" in err
+        code, _, _ = run_cli(capsys, *args, "--force")
+        assert code == 0
+    # the same diagram as PD text: its O lines count the same way
+    code, out, _ = run_cli(capsys, "pd", str(f))
+    assert code == 0
+    pd_file = tmp_path / "loops.pd"
+    pd_file.write_text(out)
+    code, _, err = run_cli(capsys, "poly", str(pd_file), "--which", "homfly")
+    assert code == 2 and f"{n_crossings} crossings and {loops} crossingless loops" in err
+
+
+@pytest.mark.parametrize("text", ["X[1,2,1,2]\n", "X[1,2,3,4]\nX[3,4,1,2]\n"])
+def test_non_planar_pd_ends_in_one_coded_line(capsys, tmp_path, text):
+    f = tmp_path / "torus.pd"
+    f.write_text(text)
+    code, out, err = run_cli(capsys, "poly", str(f), "--which", "kauffman")
+    assert code == 2 and out == ""
+    assert err.startswith("error [NOT_PLANAR]: ") and err.count("\n") == 1

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import closed_words, corpus_words, random_fronts, recursion_headroom
+from conftest import checked_front, closed_words, corpus_words, random_fronts, recursion_headroom
 
 from frontinv.cli import CROSSING_CAP
 from frontinv.diagram import (
@@ -37,7 +37,7 @@ from frontinv.poly import (
     parse_poly,
     parse_poly1,
 )
-from frontinv.rulings import oriented_ruling_polynomial, ruling_polynomial
+from frontinv.rulings import oriented_ruling_polynomial
 from frontinv.toposkein import (
     B_of,
     Q_of,
@@ -181,42 +181,35 @@ def test_B_and_Q_examples():
 
 @pytest.mark.parametrize("name,word", corpus_words())
 def test_triangle_on_corpus(name, word):
-    assert B_of(word) == ruling_polynomial(word)
-    for of in all_orientations(word):
-        assert Q_of(of) == oriented_ruling_polynomial(of)
+    checked_front(word)
 
 
 def test_triangle_on_random_fronts():
     for w in random_fronts(seed=555, count=60, max_len=13, max_strands=8):
-        if w.num_crossings > 7:
-            continue
-        assert B_of(w) == ruling_polynomial(w), w.render()
-        orientations = all_orientations(w)
-        if len(orientations) <= 4:
-            for of in orientations:
-                assert Q_of(of) == oriented_ruling_polynomial(of), w.render()
+        if w.num_crossings <= 7:
+            checked_front(w)
 
 
 def _check_triangle(words) -> int:
-    orientations = 0
-    for w in words:
-        assert B_of(w) == ruling_polynomial(w), w.render()
-        for of in all_orientations(w):
-            assert Q_of(of) == oriented_ruling_polynomial(of), (w.render(), of.choices)
-            orientations += 1
-    return orientations
+    """All three routes on every word; the number of orientations checked."""
+    return sum(len(checked_front(w)["oriented"]) for w in words)
 
 
 def test_triangle_on_every_small_front():
     # every closed word of <= 7 letters on <= 6 strands, split unions
-    # included: 4844 words and 19088 orientations
+    # included: 4844 words and 19088 orientations.  check_front evaluates
+    # one orientation per reversal pair; test_global_reversal_invariance
+    # checks that the other one agrees on the same words.
     assert _check_triangle(closed_words(7, 6)) == 19088
 
 
 @pytest.mark.slow
 def test_triangle_on_every_8_letter_front():
-    # the same census one letter longer (run with `pytest -m slow`)
-    assert _check_triangle(closed_words(8, 6)) == 214294
+    # the same census one letter longer (run with `pytest -m slow`),
+    # reversal pairs included
+    words = closed_words(8, 6)
+    assert _check_triangle(words) == 214294
+    assert _check_reversal_pairs(words) == 107147
 
 
 def _check_reversal_pairs(words) -> int:
@@ -279,13 +272,10 @@ def test_defining_relations_on_random_diagrams():
     ids=["4-braid-15", "T(2,31)"],
 )
 def test_triangle_past_crossing_cap(text):
-    # the CLI refuses these without --force; the tree must still agree with
-    # the sweep
+    # the CLI refuses these without --force; the routes must still agree
     w = parse_front(text)
     assert w.num_crossings > CROSSING_CAP
-    assert B_of(w) == ruling_polynomial(w)
-    for of in all_orientations(w):
-        assert Q_of(of) == oriented_ruling_polynomial(of)
+    checked_front(w)
 
 
 @pytest.mark.parametrize("evaluate", [kauffman_D, homfly_H])
@@ -413,3 +403,12 @@ def test_pd_import_empty():
         with pytest.raises(ParseError) as exc:
             pd_import(text)
         assert exc.value.code == "NOT_CLOSED"
+
+
+def test_pd_import_accepts_planar_codes():
+    # pd_import rejects a code with too few faces (NOT_PLANAR, see test_cli);
+    # these are planar: a kink, the Hopf link, and two split kinks with a
+    # free loop
+    for text in ("X[1,1,2,2]\n", "X[4,1,3,2]\nX[2,3,1,4]\n", "X[1,1,2,2]\nX[3,3,4,4]\nO1\n"):
+        d = pd_import(text)
+        assert pd_import(pd_export(d)) == d
