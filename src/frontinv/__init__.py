@@ -9,27 +9,3 @@ a HOMFLY coefficient.
 """
 
 __version__ = "0.1.0"
-
-from .front import (  # noqa: F401
-    FrontWord,
-    OrientedFront,
-    all_orientations,
-    apply_move,
-    components,
-    invariants,
-    orient,
-    parse_front,
-    parse_front_file,
-    stabilize,
-)
-from .diagram import from_oriented_front, pd_export, pd_import  # noqa: F401
-from .legskein import canonicalize, evaluate_B  # noqa: F401
-from .poly import LaurentPoly, NEG_INFINITY, coeff_a, deg_a  # noqa: F401
-from .rulings import (  # noqa: F401
-    enumerate_rulings,
-    enumerate_rulings_bruteforce,
-    is_ruling,
-    oriented_ruling_polynomial,
-    ruling_polynomial,
-)
-from .toposkein import B_of, Q_of, homfly_H, homfly_P, kauffman_D, kauffman_F, sharpness  # noqa: F401

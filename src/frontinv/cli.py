@@ -63,7 +63,7 @@ def _check_cap(n_crossings: int, free_loops: int, force: bool) -> None:
     # The skein routes multiply in a loop factor per crossingless loop, so
     # loops count toward the cap as crossings do.
     if n_crossings + free_loops > CROSSING_CAP and not force:
-        raise FrontError(
+        raise LimitExceeded(
             f"input has {n_crossings} crossings and {free_loops} crossingless loops"
             f" (cap {CROSSING_CAP} in all); rerun with --force"
         )
@@ -110,6 +110,8 @@ def cmd_rulings(args) -> int:
 
 
 def cmd_poly(args) -> int:
+    if args.trace and args.which != "B-leg":
+        raise BadArgument(f"--trace needs --which B-leg, not {args.which}")
     if args.path.endswith(".pd"):
         if args.which not in ("kauffman", "homfly"):
             raise FrontError(f"--which {args.which} needs a .front input")

@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import FrontError, MoveNotApplicable, ParseError
+from .errors import BadArgument, FrontError, MoveNotApplicable, ParseError
 
 RIGHT = 1
 LEFT = -1
@@ -658,16 +658,16 @@ def stabilize(word: FrontWord, gap: int, pos: int, flavor: str = "down") -> Fron
     """
     counts = word.strand_counts
     if not 0 <= gap <= len(word.letters):
-        raise FrontError(f"gap {gap} out of range")
+        raise BadArgument(f"gap {gap} out of range")
     n = counts[gap]
     if not 1 <= pos <= n:
-        raise FrontError(f"no strand at position {pos} in gap {gap}")
+        raise BadArgument(f"no strand at position {pos} in gap {gap}")
     if flavor == "down":
         insert = [L(pos), R(pos + 1)]
     elif flavor == "up":
         insert = [L(pos + 1), R(pos)]
     else:
-        raise FrontError(f"unknown flavor {flavor!r}")
+        raise BadArgument(f"unknown flavor {flavor!r}")
     letters = list(word.letters)
     letters[gap:gap] = insert
     return FrontWord(tuple(letters))

@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 from .diagram import (
     PlanarDiagram,
+    Traversal,
     _find_bigon,
     _find_kink,
     _smooth,
@@ -59,8 +60,7 @@ _DELTA_D = _DELTA_H + LaurentPoly.one()   # (a - a^-1) / z + 1
 # Skein recursion
 
 
-def _bad_crossings(d: PlanarDiagram, use_flow: bool) -> list[int]:
-    trav = traverse(d, use_flow)
+def _bad_crossings(d: PlanarDiagram, trav: Traversal) -> list[int]:
     seen: set[int] = set()
     bads: list[int] = []
     for walk in trav.components:
@@ -74,8 +74,7 @@ def _bad_crossings(d: PlanarDiagram, use_flow: bool) -> list[int]:
     return bads
 
 
-def _descending_value(d: PlanarDiagram, use_flow: bool, delta: LaurentPoly) -> LaurentPoly:
-    trav = traverse(d, use_flow)
+def _descending_value(d: PlanarDiagram, trav: Traversal, delta: LaurentPoly) -> LaurentPoly:
     exponent = 0
     for c in range(d.n_crossings):
         comps = trav.comp_of_crossing[c]
@@ -116,9 +115,10 @@ class _SkeinEngine:
         bigon = _find_bigon(d)
         if bigon is not None:
             return self.eval(_strip_bigon(d, *bigon))
-        bads = _bad_crossings(d, self.homfly)
+        trav = traverse(d, self.homfly)
+        bads = _bad_crossings(d, trav)
         if not bads:
-            return _descending_value(d, self.homfly, self.delta)
+            return _descending_value(d, trav, self.delta)
         c = bads[0] if self.heuristic == "first" else bads[-1]
         q = d.view(c)
         pairs_a = ((q[0], q[1]), (q[2], q[3]))

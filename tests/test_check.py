@@ -10,20 +10,37 @@ import pytest
 from frontinv.check import front_ok
 
 
-def test_check_is_loaded_by_the_cli_only():
-    # check compares the routes; no route, and not the package itself, may
-    # depend on it
+SHARED = {"errors", "front"}
+ROUTES = {"rulings", "legskein", "toposkein"}
+# the frontinv submodules that a fresh `import M` may load, M included
+LOADS = {
+    "frontinv": set(),
+    "frontinv.errors": {"errors"},
+    "frontinv.poly": {"poly"},
+    "frontinv.front": SHARED,
+    "frontinv.rulings": SHARED | {"poly", "rulings"},
+    "frontinv.legskein": SHARED | {"poly", "legskein"},
+    "frontinv.diagram": SHARED | {"diagram"},
+    "frontinv.toposkein": SHARED | {"diagram", "poly", "toposkein"},
+    "frontinv.check": SHARED | ROUTES | {"diagram", "poly", "check"},
+    "frontinv.cli": SHARED | ROUTES | {"diagram", "poly", "check", "cli"},
+}
+
+
+@pytest.mark.parametrize("module", LOADS)
+def test_each_module_loads_only_its_dependencies(module):
+    # the routes stay independent: importing one loads none of the others;
+    # only check compares them, and only the CLI loads check
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = (
-        "import sys, frontinv, frontinv.diagram, frontinv.legskein, frontinv.rulings, "
-        "frontinv.toposkein; print('frontinv.check' in sys.modules); "
-        "import frontinv.cli; print('frontinv.check' in sys.modules)"
+        f"import sys, {module}; "
+        "print(*(m[len('frontinv.'):] for m in sys.modules if m.startswith('frontinv.')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.split() == ["False", "True"]
+    assert set(out.split()) == LOADS[module]
 
 
 RECORD = {"agree_3_1": True, "agree_4_1": True, "kauffman_sharp": True, "homfly_sharp": True}

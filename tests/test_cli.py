@@ -130,6 +130,19 @@ def test_poly_trace(tmp_path, capsys):
     assert lines and all({"rule", "L", "M", "N1", "N2"} <= set(e) for e in lines)
 
 
+@pytest.mark.parametrize("which", ["ruling", "B-topo", "kauffman"])
+def test_trace_needs_B_leg(capsys, tmp_path, which):
+    # --trace is written only by the rewrite route; elsewhere it is refused
+    # before anything is evaluated, not dropped
+    trace = tmp_path / "trace.jsonl"
+    code, out, err = run_cli(
+        capsys, "poly", str(CORPUS / "trefoil.front"), "--which", which, "--trace", str(trace)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error [BAD_ARGUMENT]: ") and err.count("\n") == 1
+    assert not trace.exists()
+
+
 def test_verify_corpus(capsys):
     code, out, _ = run_cli(capsys, "verify", str(CORPUS), "--theorem", "3.1")
     assert code == 0
@@ -268,6 +281,9 @@ def test_non_ascii_digits_end_in_one_coded_line(capsys, tmp_path, text):
         ("moves", "--apply", "comm"),
         ("moves", "--apply", "type3@1,m=z"),
         ("moves", "--random", "-5"),
+        # the trefoil has 7 letters, and no strand in gap 0
+        ("stabilize", "--site", "99:1"),
+        ("stabilize", "--site", "0:9"),
     ],
 )
 def test_bad_arguments_end_in_one_coded_line(capsys, args):
@@ -301,7 +317,7 @@ def test_crossing_cap(capsys, tmp_path):
     f = tmp_path / "big.front"
     f.write_text(word + "\n")
     code, _, err = run_cli(capsys, "poly", str(f), "--which", "B-topo")
-    assert code == 2 and "cap" in err
+    assert code == 2 and err.startswith("error [LIMIT_EXCEEDED]: ") and "cap" in err
     code, out, _ = run_cli(capsys, "poly", str(f), "--which", "ruling", "--force")
     assert code == 0
     # the cap is for the skein routes: the ruling sweep builds no tree
@@ -315,7 +331,7 @@ def test_crossing_cap(capsys, tmp_path):
     pd_file = tmp_path / "big.pd"
     pd_file.write_text(out)
     code, _, err = run_cli(capsys, "poly", str(pd_file), "--which", "kauffman")
-    assert code == 2 and "cap" in err
+    assert code == 2 and err.startswith("error [LIMIT_EXCEEDED]: ") and "cap" in err
     code, _, _ = run_cli(capsys, "poly", str(pd_file), "--which", "kauffman", "--force")
     assert code == 0
     # a choice PD input cannot serve is refused as such, not for its size
@@ -338,7 +354,7 @@ def test_crossing_cap_counts_crossingless_loops(capsys, tmp_path, text):
     assert n_crossings <= cli.CROSSING_CAP < n_crossings + loops
     for args in (("poly", str(f), "--which", "kauffman"), ("verify", str(tmp_path))):
         code, out, err = run_cli(capsys, *args)
-        assert code == 2 and out == ""
+        assert code == 2 and out == "" and err.startswith("error [LIMIT_EXCEEDED]: ")
         assert f"{n_crossings} crossings and {loops} crossingless loops" in err
         code, _, _ = run_cli(capsys, *args, "--force")
         assert code == 0
@@ -348,7 +364,8 @@ def test_crossing_cap_counts_crossingless_loops(capsys, tmp_path, text):
     pd_file = tmp_path / "loops.pd"
     pd_file.write_text(out)
     code, _, err = run_cli(capsys, "poly", str(pd_file), "--which", "homfly")
-    assert code == 2 and f"{n_crossings} crossings and {loops} crossingless loops" in err
+    assert code == 2 and err.startswith("error [LIMIT_EXCEEDED]: ")
+    assert f"{n_crossings} crossings and {loops} crossingless loops" in err
 
 
 @pytest.mark.parametrize("text", ["X[1,2,1,2]\n", "X[1,2,3,4]\nX[3,4,1,2]\n"])

@@ -12,7 +12,7 @@ import pytest
 from conftest import closed_words, random_fronts
 
 from frontinv.diagram import from_oriented_front, writhe
-from frontinv.errors import MoveNotApplicable, ParseError
+from frontinv.errors import BadArgument, MoveNotApplicable, ParseError
 from frontinv.front import (
     LEFT,
     RIGHT,
@@ -349,6 +349,12 @@ def test_stabilize_up_flavor():
     w = stabilize(parse_front("l1 r1"), gap=1, pos=2, flavor="up")
     assert invariants(orient(w)).beta == -2
     assert ruling_polynomial(w) == LaurentPoly.zero()
+
+
+def test_stabilize_refuses_unknown_flavor():
+    # the CLI limits --flavor to its choices; a library caller gets the code
+    with pytest.raises(BadArgument):
+        stabilize(parse_front("l1 r1"), gap=1, pos=1, flavor="sideways")
 
 
 def test_stabilize_twice():
