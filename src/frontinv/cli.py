@@ -114,7 +114,7 @@ def cmd_poly(args) -> int:
         raise BadArgument(f"--trace needs --which B-leg, not {args.which}")
     if args.path.endswith(".pd"):
         if args.which not in ("kauffman", "homfly"):
-            raise FrontError(f"--which {args.which} needs a .front input")
+            raise BadArgument(f"--which {args.which} needs a .front input")
         d = pd_import(Path(args.path).read_text())
         _check_cap(d.n_crossings, d.free_loops, args.force)
         value = kauffman_D(d) if args.which == "kauffman" else homfly_H(d)
@@ -142,10 +142,8 @@ def cmd_poly(args) -> int:
         out = str(Q_of(of))
     elif args.which == "kauffman":
         out = str(kauffman_D(from_oriented_front(of)))
-    elif args.which == "homfly":
-        out = str(homfly_H(from_oriented_front(of)))
     else:
-        raise FrontError(f"unknown polynomial {args.which!r}")
+        out = str(homfly_H(from_oriented_front(of)))
     _emit({args.which: out})
     return 0
 
@@ -154,7 +152,7 @@ def cmd_verify(args) -> int:
     corpus = Path(args.corpus)
     paths = sorted(corpus.glob("*.front"))
     if not paths:
-        raise FrontError(f"no .front files in {corpus}")
+        raise BadArgument(f"no .front files in {corpus}")
     report = {"schema": 1, "theorem": args.theorem, "fronts": {}}
     all_ok = True
     for path in paths:

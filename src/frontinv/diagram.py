@@ -72,7 +72,7 @@ def from_oriented_front(of: OrientedFront) -> PlanarDiagram:
         other_end[t2] = t1
         return t1, t2
 
-    for t, let in enumerate(word.letters):
+    for let in word.letters:
         m = let.index
         if let.kind == "l":
             t1, t2 = fresh_pair()
@@ -80,10 +80,9 @@ def from_oriented_front(of: OrientedFront) -> PlanarDiagram:
         elif let.kind == "x":
             c_idx += 1
             base = 4 * c_idx
-            d_up = of.dirs[occ.slices[t][m - 1]]
-            d_down = of.dirs[occ.slices[t][m]]
-            flow_in.add(base + 3 if d_up == RIGHT else base + 1)
-            flow_in.add(base if d_down == RIGHT else base + 2)
+            upper, lower = occ.crossing_pairs[c_idx][1]
+            flow_in.add(base + 3 if of.dirs[upper] == RIGHT else base + 1)
+            flow_in.add(base if of.dirs[lower] == RIGHT else base + 2)
             pinned[open_ends[m - 1]] = base + 3
             pinned[open_ends[m]] = base
             ne_pin, ne_run = fresh_pair()
@@ -218,55 +217,50 @@ def _strip_bigon(d: PlanarDiagram, c: int, c2: int) -> PlanarDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Traversal
+# Based walk
 
 
-class Traversal(NamedTuple):
-    """Passage order of a based traversal; one passage per (component, strand)."""
+def traverse(d: PlanarDiagram, use_flow: bool) -> tuple[int | None, int, int]:
+    """Walk the components until a crossing is first reached on its under-strand.
 
-    components: tuple[tuple[int, ...], ...]   # arrival ports in walk order
-    comp_of_crossing: tuple[tuple[int, ...], ...]  # crossing -> component ids (2 passages)
-    arrivals: tuple[tuple[int, ...], ...]     # crossing -> its two arrival ports
+    Components are walked in order of their smallest port, each from that
+    port.  With ``use_flow`` the walk follows arc orientations; otherwise the
+    direction is the one induced by the starting port, which keeps the walk
+    stable under crossing switches.
 
-
-def traverse(d: PlanarDiagram, use_flow: bool) -> Traversal:
-    """Walk every component; deterministic basepoints (smallest port first).
-
-    With ``use_flow`` the walk follows arc orientations; otherwise the
-    direction is the canonical one induced by the smallest port of each
-    component, which keeps the walk stable under crossing switches.
+    Returns ``(c, 0, 0)`` for the first crossing ``c`` whose first passage is
+    on its under-strand.  When there is none the diagram is descending, and
+    the result is ``(None, e, k)`` with ``e`` the sum of the signs of the
+    crossings of a component with itself and ``k`` the number of walked
+    components.
     """
     n = d.n_crossings
     nbr = d.nbr
     consumed = [False] * (4 * n)
-    comps: list[tuple[int, ...]] = []
-    arrivals_of: list[list[int]] = [[] for _ in range(n)]
-    comp_of: list[list[int]] = [[] for _ in range(n)]
-
+    over_entry = [0] * n     # port of the first passage, on the over-strand
+    comp_of = [-1] * n       # component of the first passage
+    exponent = 0
+    k = 0
     for start in range(4 * n):
         if consumed[start] or (use_flow and start not in d.flow_in):
             continue
-        cid = len(comps)
-        walk: list[int] = []
         p = start
         while True:
-            walk.append(p)
             consumed[p] = consumed[p ^ 2] = True
-            arrivals_of[p >> 2].append(p)
-            comp_of[p >> 2].append(cid)
+            c = p >> 2
+            if comp_of[c] < 0:
+                if d.is_under_port(p):
+                    return c, 0, 0
+                over_entry[c] = p
+                comp_of[c] = k
+            elif comp_of[c] == k:
+                q = d.view(c)
+                exponent += 1 if (p % 4 == q[0]) == (over_entry[c] % 4 == q[3]) else -1
             p = nbr[p ^ 2]
             if p == start:
                 break
-        comps.append(tuple(walk))
-    return Traversal(tuple(comps), tuple(map(tuple, comp_of)), tuple(map(tuple, arrivals_of)))
-
-
-def sign_from_arrivals(d: PlanarDiagram, c: int, arrivals: tuple[int, ...]) -> int:
-    """Crossing sign using the two traversal arrival ports."""
-    q = d.view(c)
-    under_arr = next(p for p in arrivals if d.is_under_port(p))
-    over_arr = next(p for p in arrivals if not d.is_under_port(p))
-    return 1 if ((under_arr % 4 == q[0]) == (over_arr % 4 == q[3])) else -1
+        k += 1
+    return None, exponent, k
 
 
 # ---------------------------------------------------------------------------

@@ -235,11 +235,9 @@ def parse_front_file(text: str) -> tuple[FrontWord, dict[int, bool]]:
 class Occupancy(NamedTuple):
     """Persistent strand ids through the sweep of a word.
 
-    ``slices[t]`` lists the strand ids at positions 1..N just before letter
-    t; ids are assigned in birth order, upper strand of each cusp first.
+    Ids are assigned in birth order, upper strand of each cusp first.
     """
 
-    slices: tuple[tuple[int, ...], ...]
     n_strands: int
     left_cusps: tuple[tuple[int, tuple[int, int]], ...]   # (letter pos, (upper, lower))
     right_cusps: tuple[tuple[int, tuple[int, int]], ...]  # (letter pos, (upper, lower))
@@ -249,7 +247,6 @@ class Occupancy(NamedTuple):
 @lru_cache(maxsize=4096)
 def occupancy(word: FrontWord) -> Occupancy:
     occ: list[int] = []
-    slices = [tuple(occ)]
     lefts = []
     rights = []
     pairs = []
@@ -267,8 +264,7 @@ def occupancy(word: FrontWord) -> Occupancy:
         else:
             rights.append((t, (occ[m - 1], occ[m])))
             del occ[m - 1:m + 1]
-        slices.append(tuple(occ))
-    return Occupancy(tuple(slices), next_id, tuple(lefts), tuple(rights), tuple(pairs))
+    return Occupancy(next_id, tuple(lefts), tuple(rights), tuple(pairs))
 
 
 class Components(NamedTuple):

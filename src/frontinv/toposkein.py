@@ -3,14 +3,15 @@
 Both evaluators recurse on planar diagrams.  Each node first removes one
 kink (Reidemeister I, a factor a**(+-1)), else one bigon whose two crossings
 have the same strand on top (Reidemeister II, a regular isotopy, so no
-factor for D or H in either orientation).  Only a diagram with neither is
-resolved at a crossing: crossings are examined along a based traversal
-(components ordered by smallest port, each walked from its smallest port),
-and the first crossing first reached on its understrand is switched and
-smoothed.  Kink and bigon removal and smoothing take away one or two
-crossings, and switching keeps the crossings and the traversal and makes
-one fewer crossing bad, so the tree is finite.  Descending diagrams are
-regular-isotopic to split unions of kinked circles and evaluate to
+factor for D or H in either orientation).  A diagram with neither gets one
+walk, ``diagram.traverse`` (components ordered by smallest port, each
+walked from its smallest port), which stops at the first crossing first
+reached on its understrand; that crossing is switched and smoothed.  Kink
+and bigon removal and smoothing take away one or two crossings, and
+switching keeps the crossings and the walk and makes one fewer crossing
+bad, so the tree is finite.  A walk that meets no such crossing has found a
+descending diagram, regular-isotopic to a split union of kinked circles,
+and has summed what its value needs on the way:
 a**(sum of self-crossing signs) * delta**(components - 1).
 
 Conventions, pinned by the corpus identities (ruling polynomial equals the
@@ -34,7 +35,6 @@ from typing import NamedTuple
 
 from .diagram import (
     PlanarDiagram,
-    Traversal,
     _find_bigon,
     _find_kink,
     _smooth,
@@ -43,7 +43,6 @@ from .diagram import (
     _switch,
     crossing_sign,
     from_oriented_front,
-    sign_from_arrivals,
     traverse,
     writhe,
 )
@@ -60,37 +59,10 @@ _DELTA_D = _DELTA_H + LaurentPoly.one()   # (a - a^-1) / z + 1
 # Skein recursion
 
 
-def _bad_crossings(d: PlanarDiagram, trav: Traversal) -> list[int]:
-    seen: set[int] = set()
-    bads: list[int] = []
-    for walk in trav.components:
-        for p in walk:
-            c = p // 4
-            if c in seen:
-                continue
-            seen.add(c)
-            if d.is_under_port(p):
-                bads.append(c)
-    return bads
-
-
-def _descending_value(d: PlanarDiagram, trav: Traversal, delta: LaurentPoly) -> LaurentPoly:
-    exponent = 0
-    for c in range(d.n_crossings):
-        comps = trav.comp_of_crossing[c]
-        if comps[0] == comps[1]:
-            exponent += sign_from_arrivals(d, c, trav.arrivals[c])
-    k = len(trav.components) + d.free_loops
-    return (delta ** (k - 1)).shift(0, exponent)
-
-
 class _SkeinEngine:
-    def __init__(self, homfly: bool, memo: bool, heuristic: str):
-        if heuristic not in ("first", "last"):
-            raise ValueError(f"unknown heuristic {heuristic!r}")
+    def __init__(self, homfly: bool, memo: bool):
         self.homfly = homfly
         self.memo: dict | None = {} if memo else None
-        self.heuristic = heuristic
         self.delta = _DELTA_H if homfly else _DELTA_D
 
     def eval(self, d: PlanarDiagram) -> LaurentPoly:
@@ -115,11 +87,9 @@ class _SkeinEngine:
         bigon = _find_bigon(d)
         if bigon is not None:
             return self.eval(_strip_bigon(d, *bigon))
-        trav = traverse(d, self.homfly)
-        bads = _bad_crossings(d, trav)
-        if not bads:
-            return _descending_value(d, trav, self.delta)
-        c = bads[0] if self.heuristic == "first" else bads[-1]
+        c, exponent, k = traverse(d, self.homfly)
+        if c is None:
+            return (self.delta ** (k + d.free_loops - 1)).shift(0, exponent)
         q = d.view(c)
         pairs_a = ((q[0], q[1]), (q[2], q[3]))
         pairs_b = ((q[0], q[3]), (q[1], q[2]))
@@ -143,46 +113,46 @@ def _run(engine: _SkeinEngine, d: PlanarDiagram) -> LaurentPoly:
         ) from None
 
 
-def kauffman_D(d: PlanarDiagram, *, memo: bool = True, heuristic: str = "first") -> LaurentPoly:
+def kauffman_D(d: PlanarDiagram, *, memo: bool = True) -> LaurentPoly:
     """Dubrovnik polynomial of a diagram, D(unknot) = 1."""
     # D never reads orientation; without it, diagrams that differ only in arc
     # directions share one memo entry.
-    return _run(_SkeinEngine(False, memo, heuristic), d._replace(flow_in=frozenset()))
+    return _run(_SkeinEngine(False, memo), d._replace(flow_in=frozenset()))
 
 
-def homfly_H(d: PlanarDiagram, *, memo: bool = True, heuristic: str = "first") -> LaurentPoly:
+def homfly_H(d: PlanarDiagram, *, memo: bool = True) -> LaurentPoly:
     """Regular-isotopy HOMFLY polynomial of an oriented diagram, H(unknot) = 1."""
-    return _run(_SkeinEngine(True, memo, heuristic), d)
+    return _run(_SkeinEngine(True, memo), d)
 
 
 def _as_oriented(front: FrontWord | OrientedFront) -> OrientedFront:
     return front if isinstance(front, OrientedFront) else orient(front)
 
 
-def kauffman_F(of: FrontWord | OrientedFront, **kw) -> LaurentPoly:
+def kauffman_F(of: FrontWord | OrientedFront) -> LaurentPoly:
     """Kauffman polynomial F = a**-w D(Top(K)) of an oriented front."""
     of = _as_oriented(of)
     d = from_oriented_front(of)
-    return kauffman_D(d, **kw).shift(0, -writhe(d))
+    return kauffman_D(d).shift(0, -writhe(d))
 
 
-def homfly_P(of: FrontWord | OrientedFront, **kw) -> LaurentPoly:
+def homfly_P(of: FrontWord | OrientedFront) -> LaurentPoly:
     """HOMFLY polynomial P = a**-w H(Top(K)) of an oriented front."""
     of = _as_oriented(of)
     d = from_oriented_front(of)
-    return homfly_H(d, **kw).shift(0, -writhe(d))
+    return homfly_H(d).shift(0, -writhe(d))
 
 
-def B_of(front: FrontWord | OrientedFront, **kw) -> LaurentPoly:
+def B_of(front: FrontWord | OrientedFront) -> LaurentPoly:
     """Coefficient of a**(c-1) in D(Top(K))."""
     of = _as_oriented(front)
-    return coeff_a(kauffman_D(from_oriented_front(of), **kw), of.word.num_left_cusps - 1)
+    return coeff_a(kauffman_D(from_oriented_front(of)), of.word.num_left_cusps - 1)
 
 
-def Q_of(of: FrontWord | OrientedFront, **kw) -> LaurentPoly:
+def Q_of(of: FrontWord | OrientedFront) -> LaurentPoly:
     """Coefficient of a**(c-1) in H(Top(K))."""
     of = _as_oriented(of)
-    return coeff_a(homfly_H(from_oriented_front(of), **kw), of.word.num_left_cusps - 1)
+    return coeff_a(homfly_H(from_oriented_front(of)), of.word.num_left_cusps - 1)
 
 
 class SharpnessReport(NamedTuple):
@@ -193,7 +163,7 @@ class SharpnessReport(NamedTuple):
     Q: LaurentPoly
 
 
-def sharpness(front: FrontWord | OrientedFront, **kw) -> SharpnessReport:
+def sharpness(front: FrontWord | OrientedFront) -> SharpnessReport:
     """Sharpness of the two Bennequin bounds, each checked independently.
 
     Each sharpness flag is computed two ways (the distinguished coefficient
@@ -208,8 +178,8 @@ def sharpness(front: FrontWord | OrientedFront, **kw) -> SharpnessReport:
     w = writhe(d)
     if w != inv.w:
         raise InternalInconsistency(f"writhe of Top(K) is {w}, the front's is {inv.w}")
-    D = kauffman_D(d, **kw)
-    H = homfly_H(d, **kw)
+    D = kauffman_D(d)
+    H = homfly_H(d)
     B = coeff_a(D, inv.c - 1)
     Q = coeff_a(H, inv.c - 1)
 

@@ -8,12 +8,17 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from frontinv.check import check_front, front_ok
 from frontinv.front import FrontWord, Letter
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+
+# Property tests draw the same examples on every run and store none.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def corpus_paths() -> list[Path]:

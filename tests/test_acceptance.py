@@ -270,24 +270,18 @@ def criterion_8() -> tuple[bool, str]:
 
 
 def criterion_9() -> tuple[bool, str]:
-    """Memoized/unmemoized and both crossing heuristics agree everywhere."""
+    """Memoized and unmemoized evaluation agree everywhere."""
     for name, word in corpus_words():
         if ruling_polynomial(word, memo=True) != ruling_polynomial(word, memo=False):
             return False, f"sweep memoization differs on {name}"
         if evaluate_B(word, memo=True) != evaluate_B(word, memo=False):
             return False, f"rewrite memoization differs on {name}"
         d = from_oriented_front(orient(word))
-        values = {
-            kauffman_D(d, memo=m, heuristic=h) for m in (True, False) for h in ("first", "last")
-        }
-        if len(values) != 1:
-            return False, f"Dubrovnik evaluation not deterministic on {name}"
-        values = {
-            homfly_H(d, memo=m, heuristic=h) for m in (True, False) for h in ("first", "last")
-        }
-        if len(values) != 1:
-            return False, f"HOMFLY evaluation not deterministic on {name}"
-    return True, "identical polynomials across memoization modes and heuristics"
+        if kauffman_D(d, memo=True) != kauffman_D(d, memo=False):
+            return False, f"Dubrovnik memoization differs on {name}"
+        if homfly_H(d, memo=True) != homfly_H(d, memo=False):
+            return False, f"HOMFLY memoization differs on {name}"
+    return True, "identical polynomials across memoization modes"
 
 
 CRITERIA = [

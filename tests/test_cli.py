@@ -272,23 +272,29 @@ def test_non_ascii_digits_end_in_one_coded_line(capsys, tmp_path, text):
     assert err.startswith("error [UNKNOWN_TOKEN]: ") and err.count("\n") == 1
 
 
+TREFOIL = str(CORPUS / "trefoil.front")
+
+
 @pytest.mark.parametrize(
     "args",
     [
-        ("stabilize", "--site", "x:1"),
-        ("stabilize", "--site", "1"),
-        ("moves", "--apply", "comm@x"),
-        ("moves", "--apply", "comm"),
-        ("moves", "--apply", "type3@1,m=z"),
-        ("moves", "--random", "-5"),
+        ("stabilize", TREFOIL, "--site", "x:1"),
+        ("stabilize", TREFOIL, "--site", "1"),
+        ("moves", TREFOIL, "--apply", "comm@x"),
+        ("moves", TREFOIL, "--apply", "comm"),
+        ("moves", TREFOIL, "--apply", "type3@1,m=z"),
+        ("moves", TREFOIL, "--random", "-5"),
         # the trefoil has 7 letters, and no strand in gap 0
-        ("stabilize", "--site", "99:1"),
-        ("stabilize", "--site", "0:9"),
+        ("stabilize", TREFOIL, "--site", "99:1"),
+        ("stabilize", TREFOIL, "--site", "0:9"),
+        # a PD code has no cusps, so no Q; refused before the file is read
+        ("poly", str(CORPUS / "trefoil.pd"), "--which", "Q"),
+        # a directory that holds no .front file
+        ("verify", str(CORPUS / "expected")),
     ],
 )
 def test_bad_arguments_end_in_one_coded_line(capsys, args):
-    command, *rest = args
-    code, out, err = run_cli(capsys, command, str(CORPUS / "trefoil.front"), *rest)
+    code, out, err = run_cli(capsys, *args)
     assert code == 2 and out == ""
     assert err.startswith("error [BAD_ARGUMENT]: ") and err.count("\n") == 1
 

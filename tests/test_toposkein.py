@@ -17,6 +17,7 @@ from frontinv.diagram import (
     from_oriented_front,
     pd_export,
     pd_import,
+    traverse,
     writhe,
 )
 from frontinv.errors import FuelExhausted, ParseError
@@ -38,10 +39,10 @@ from frontinv.poly import (
     parse_poly1,
 )
 from frontinv.rulings import oriented_ruling_polynomial
+from frontinv import toposkein
 from frontinv.toposkein import (
     B_of,
     Q_of,
-    _SkeinEngine,
     homfly_H,
     homfly_P,
     kauffman_D,
@@ -354,23 +355,73 @@ def test_zero_diagram_degenerate():
     assert deg_a(LaurentPoly.zero()) is NEG_INFINITY
 
 
-def test_determinism_memo_and_heuristics():
+def test_determinism_memo():
     for name, word in corpus_words():
         d = from_oriented_front(orient(word))
-        values = {
-            kauffman_D(d, memo=True, heuristic="first"),
-            kauffman_D(d, memo=False, heuristic="first"),
-            kauffman_D(d, memo=True, heuristic="last"),
-            kauffman_D(d, memo=False, heuristic="last"),
-        }
-        assert len(values) == 1
-        values = {
-            homfly_H(d, memo=True, heuristic="first"),
-            homfly_H(d, memo=False, heuristic="first"),
-            homfly_H(d, memo=True, heuristic="last"),
-            homfly_H(d, memo=False, heuristic="last"),
-        }
-        assert len(values) == 1
+        assert kauffman_D(d, memo=True) == kauffman_D(d, memo=False), name
+        assert homfly_H(d, memo=True) == homfly_H(d, memo=False), name
+
+
+def test_traverse_stops_at_first_crossing_reached_under():
+    # Top(K) of the trefoil: the upper strand of a crossing (ports 1, 3) is
+    # over.  Without flow the walk starts at port 0 of crossing 0, which is
+    # under.  With the default orientation both strands run left through
+    # every crossing, so the walk starts at port 1 (over at crossing 0),
+    # leaves by port 3 round the left cusp along the top strand, and enters
+    # crossing 2 at its upper-right port 10, on the under-strand.
+    d = top("l1 l3 x2 x2 x2 r1 r1")
+    assert traverse(d, False) == (0, 0, 0)
+    assert traverse(d, True) == (2, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "text,under02,expected",
+    [
+        # Hopf clasp with crossing 0 switched: each component passes over
+        # before under, and both crossings join different components.
+        ("l1 l3 x2 x2 r1 r1", (False, True), (None, 0, 2)),
+        # One kink each: switching turns the negative crossing of
+        # l1 x1 r1 (strands running opposite ways) positive, and the
+        # positive one of l1 l2 x1 r2 r1 (both running right) negative.
+        ("l1 x1 r1", (False,), (None, 1, 1)),
+        ("l1 l2 x1 r2 r1", (False,), (None, -1, 1)),
+    ],
+)
+def test_traverse_values_descending_diagrams(text, under02, expected):
+    d = top(text)._replace(under02=under02)
+    assert traverse(d, False) == expected
+    assert traverse(d, True) == expected
+
+
+# Two positive braid closures whose node count depends on which bad crossing
+# is resolved; on the corpus alone other orders give the same total.
+TREE_SHAPE_FRONTS = {
+    "b3-1112211": "l1 l2 l3 x1 x1 x1 x2 x2 x1 x1 r3 r2 r1",
+    "b3-2112222": "l1 l2 l3 x2 x1 x1 x2 x2 x2 x2 r3 r2 r1",
+}
+
+
+def test_skein_tree_shape_is_pinned(monkeypatch):
+    """One traversal per resolved node: the counts pin the resolution order."""
+    real = toposkein.traverse
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(toposkein, "traverse", counted)
+    words = [("corpus", word) for _, word in corpus_words()]
+    words += [(name, parse_front(text)) for name, text in TREE_SHAPE_FRONTS.items()]
+    counts = Counter()
+    for name, word in words:
+        for of in all_orientations(word):
+            d = from_oriented_front(of)
+            before = len(calls)
+            kauffman_D(d)
+            homfly_H(d)
+            counts[name] += len(calls) - before
+    assert counts == {"corpus": 102, "b3-1112211": 51, "b3-2112222": 76}
 
 
 def test_pd_round_trip():
