@@ -170,11 +170,14 @@ def cmd_verify(args) -> int:
 def _parse_move(text: str) -> Move:
     parts = text.split(",")
     rule, _, site = parts[0].partition("@")
-    inverse = "inverse" in parts[1:]
-    m = None
+    inverse, m = False, None
     for p in parts[1:]:
-        if p.startswith("m="):
+        if p == "inverse":
+            inverse = True
+        elif p.startswith("m="):
             m = _int_arg(p[2:], "--apply m")
+        else:
+            raise BadArgument(f"unknown --apply part {p!r}; expected inverse or m=K")
     return Move(rule, _int_arg(site, "--apply SITE"), inverse, m)
 
 

@@ -130,11 +130,6 @@ class FrontWord:
         return f"FrontWord(letters={self.letters!r})"
 
     @property
-    def strand_counts(self) -> tuple[int, ...]:
-        """Strand count before each letter, plus the final count."""
-        return tuple(strand_counts(self.letters))
-
-    @property
     def num_crossings(self) -> int:
         return sum(1 for let in self.letters if let.kind == "x")
 
@@ -150,10 +145,6 @@ class FrontWord:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def concat(self, other: "FrontWord") -> "FrontWord":
-        """Horizontal split union (place ``other`` to the right)."""
-        return FrontWord(self.letters + other.letters)
 
 
 def parse_front(text: str) -> FrontWord:
@@ -200,8 +191,8 @@ def parse_front_file(text: str) -> tuple[FrontWord, dict[int, bool]]:
     """Parse a ``.front`` file: comments, optional ``orient:`` header, tokens.
 
     The header ``orient: 1=+,2=-`` assigns per-component direction flags
-    (``+`` is the default direction, ``-`` the reverse).  Returns the word
-    and the flag mapping.
+    (``+`` is the default direction, ``-`` the reverse); a component may
+    have one entry only.  Returns the word and the flag mapping.
     """
     flags: dict[int, bool] = {}
     token_lines = []
@@ -214,6 +205,8 @@ def parse_front_file(text: str) -> tuple[FrontWord, dict[int, bool]]:
                     comp, _, sign = item.strip().partition("=")
                     if sign not in ("+", "-") or not (comp.isascii() and comp.isdigit()):
                         raise ParseError("UNKNOWN_TOKEN", f"bad orient entry {item!r}")
+                    if int(comp) in flags:
+                        raise ParseError("UNKNOWN_TOKEN", f"second orient entry for component {comp}")
                     flags[int(comp)] = sign == "+"
             token_lines.append("")
         else:
@@ -362,7 +355,7 @@ def crossing_signs(of: OrientedFront) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def invariants(of: OrientedFront | FrontWord) -> FrontInvariants:
+def invariants(of: OrientedFront) -> FrontInvariants:
     """Classical invariants c, cr, w, beta = w - c, and rotation number r.
 
     The rotation number counts cusps by traversal direction: at each cusp the
@@ -370,8 +363,6 @@ def invariants(of: OrientedFront | FrontWord) -> FrontInvariants:
     traversed downward (upper strand in) counts +1, upward -1, and r is half
     the total.  It negates under orientation reversal of a component.
     """
-    if isinstance(of, FrontWord):
-        of = orient(of)
     word = of.word
     occ = occupancy(word)
     c = len(occ.left_cusps)
@@ -562,10 +553,10 @@ class Move(NamedTuple):
         return s
 
 
-def applicable_moves(word: FrontWord, *, include_insertions: bool = True) -> list[Move]:
+def applicable_moves(word: FrontWord) -> list[Move]:
     """Enumerate applicable moves in deterministic order (test/driver use)."""
     out: list[Move] = []
-    counts = word.strand_counts
+    counts = strand_counts(word.letters)
     for site in range(len(word.letters) - 1):
         if swap_adjacent(word.letters[site], word.letters[site + 1]) is not None:
             out.append(Move("comm", site))
@@ -590,13 +581,12 @@ def applicable_moves(word: FrontWord, *, include_insertions: bool = True) -> lis
             pass
         else:
             out.append(Move("type2_hi", site, inverse=True))
-    if include_insertions:
-        for site in range(len(word.letters) + 1):
-            n = counts[site]
-            for mm in range(2, n + 2):
-                out.append(Move("type1_lo", site, inverse=True, m=mm))
-            for mm in range(1, n + 1):
-                out.append(Move("type1_hi", site, inverse=True, m=mm))
+    for site in range(len(word.letters) + 1):
+        n = counts[site]
+        for mm in range(2, n + 2):
+            out.append(Move("type1_lo", site, inverse=True, m=mm))
+        for mm in range(1, n + 1):
+            out.append(Move("type1_hi", site, inverse=True, m=mm))
     return out
 
 
@@ -607,14 +597,12 @@ def random_move_sequence(word: FrontWord, n_moves: int, seed: int) -> tuple[Fron
     long sequences stay cheap on larger words.
     """
     rng = random.Random(seed)
-    rules = list(MOVE_RULES)
     applied = []
     current = word
     for _ in range(n_moves):
-        found = None
+        counts = strand_counts(current.letters)
         for _attempt in range(400):
-            rule = rng.choice(rules)
-            counts = current.strand_counts
+            rule = rng.choice(MOVE_RULES)
             if rule == "comm":
                 mv = Move("comm", rng.randrange(max(1, len(current.letters) - 1)))
             elif rule in ("type1_lo", "type1_hi"):
@@ -633,15 +621,13 @@ def random_move_sequence(word: FrontWord, n_moves: int, seed: int) -> tuple[Fron
             else:
                 mv = Move("type3", rng.randrange(max(1, len(current.letters))))
             try:
-                nxt = apply_move(current, mv.rule, mv.site, inverse=mv.inverse, m=mv.m)
+                current = apply_move(current, mv.rule, mv.site, inverse=mv.inverse, m=mv.m)
             except FrontError:
                 continue
-            found = (mv, nxt)
+            applied.append(mv)
             break
-        if found is None:
+        else:
             break
-        applied.append(found[0])
-        current = found[1]
     return current, applied
 
 
@@ -652,7 +638,7 @@ def stabilize(word: FrontWord, gap: int, pos: int, flavor: str = "down") -> Fron
     ``l_{pos+1} r_pos``.  Adds one left cusp and no crossings, so beta drops
     by 1 and every ruling is destroyed.
     """
-    counts = word.strand_counts
+    counts = strand_counts(word.letters)
     if not 0 <= gap <= len(word.letters):
         raise BadArgument(f"gap {gap} out of range")
     n = counts[gap]

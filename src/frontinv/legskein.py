@@ -460,9 +460,9 @@ class _Machine:
 
 
 class _Evaluator:
-    def __init__(self, memo: bool, fuel: int, trace):
+    def __init__(self, memo: bool, trace):
         self.memo: dict[Letters, LaurentPoly] | None = {} if memo else None
-        self.budget = _Budget(fuel)
+        self.budget = _Budget(_DEFAULT_FUEL)
         self.trace = trace
         self.runs = 0
 
@@ -511,11 +511,10 @@ def evaluate_B(
     word: FrontWord,
     *,
     memo: bool = True,
-    fuel: int | None = None,
     trace: list | None = None,
 ) -> LaurentPoly:
     """Value of the ruling invariant computed purely by word rewriting."""
-    ev = _Evaluator(memo, _DEFAULT_FUEL if fuel is None else fuel, trace)
+    ev = _Evaluator(memo, trace)
     try:
         return ev.eval(word.letters)
     except RecursionError:

@@ -270,14 +270,6 @@ def enumerate_rulings_bruteforce(word: FrontWord, of: OrientedFront | None = Non
     return out
 
 
-def _polynomial_from_rulings(rulings: Sequence[Ruling], c: int) -> LaurentPoly:
-    out: dict[int, int] = {}
-    for rho in rulings:
-        e = rho.s - c + 1
-        out[e] = out.get(e, 0) + 1
-    return LaurentPoly(out)
-
-
 def _polynomial_memo(word: FrontWord, of: OrientedFront | None) -> LaurentPoly:
     """Sweep with branch merging: equal pairings share one weight."""
     current: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one()}
@@ -302,16 +294,11 @@ def _polynomial_memo(word: FrontWord, of: OrientedFront | None) -> LaurentPoly:
     return total.shift(1 - c)
 
 
-def ruling_polynomial(word: FrontWord, *, memo: bool = True) -> LaurentPoly:
+def ruling_polynomial(word: FrontWord) -> LaurentPoly:
     """Sum of z**(s - c + 1) over all rulings."""
-    if memo:
-        return _polynomial_memo(word, None)
-    return _polynomial_from_rulings(enumerate_rulings(word), word.num_left_cusps)
+    return _polynomial_memo(word, None)
 
 
-def oriented_ruling_polynomial(of: OrientedFront, *, memo: bool = True) -> LaurentPoly:
+def oriented_ruling_polynomial(of: OrientedFront) -> LaurentPoly:
     """As :func:`ruling_polynomial` but switches only at positive crossings."""
-    if memo:
-        return _polynomial_memo(of.word, of)
-    rulings = enumerate_rulings(of.word, of)
-    return _polynomial_from_rulings(rulings, of.word.num_left_cusps)
+    return _polynomial_memo(of.word, of)

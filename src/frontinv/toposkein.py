@@ -25,7 +25,9 @@ chosen Kauffman coefficient, oriented version for HOMFLY):
 
 For a front, both are evaluated on Top(K); the Kauffman/HOMFLY invariants
 are F = a**-w D and P = a**-w H, and the distinguished coefficients are
-B = [a**(c-1)] D and Q = [a**(c-1)] H with c the left-cusp count.
+B = [a**(c-1)] D and Q = [a**(c-1)] H with c the left-cusp count.  The
+front-level functions (``kauffman_F``, ``homfly_P``, ``B_of``, ``Q_of`` and
+``sharpness``) take an ``OrientedFront``; ``front.orient`` makes one.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .diagram import (
     writhe,
 )
 from .errors import FuelExhausted, InternalInconsistency
-from .front import FrontWord, OrientedFront, invariants, orient
+from .front import OrientedFront, invariants
 from .poly import LaurentPoly, coeff_a, deg_a
 
 _A = LaurentPoly.monomial
@@ -125,33 +127,25 @@ def homfly_H(d: PlanarDiagram, *, memo: bool = True) -> LaurentPoly:
     return _run(_SkeinEngine(True, memo), d)
 
 
-def _as_oriented(front: FrontWord | OrientedFront) -> OrientedFront:
-    return front if isinstance(front, OrientedFront) else orient(front)
-
-
-def kauffman_F(of: FrontWord | OrientedFront) -> LaurentPoly:
+def kauffman_F(of: OrientedFront) -> LaurentPoly:
     """Kauffman polynomial F = a**-w D(Top(K)) of an oriented front."""
-    of = _as_oriented(of)
     d = from_oriented_front(of)
     return kauffman_D(d).shift(0, -writhe(d))
 
 
-def homfly_P(of: FrontWord | OrientedFront) -> LaurentPoly:
+def homfly_P(of: OrientedFront) -> LaurentPoly:
     """HOMFLY polynomial P = a**-w H(Top(K)) of an oriented front."""
-    of = _as_oriented(of)
     d = from_oriented_front(of)
     return homfly_H(d).shift(0, -writhe(d))
 
 
-def B_of(front: FrontWord | OrientedFront) -> LaurentPoly:
+def B_of(of: OrientedFront) -> LaurentPoly:
     """Coefficient of a**(c-1) in D(Top(K))."""
-    of = _as_oriented(front)
     return coeff_a(kauffman_D(from_oriented_front(of)), of.word.num_left_cusps - 1)
 
 
-def Q_of(of: FrontWord | OrientedFront) -> LaurentPoly:
+def Q_of(of: OrientedFront) -> LaurentPoly:
     """Coefficient of a**(c-1) in H(Top(K))."""
-    of = _as_oriented(of)
     return coeff_a(homfly_H(from_oriented_front(of)), of.word.num_left_cusps - 1)
 
 
@@ -163,7 +157,7 @@ class SharpnessReport(NamedTuple):
     Q: LaurentPoly
 
 
-def sharpness(front: FrontWord | OrientedFront) -> SharpnessReport:
+def sharpness(of: OrientedFront) -> SharpnessReport:
     """Sharpness of the two Bennequin bounds, each checked independently.
 
     Each sharpness flag is computed two ways (the distinguished coefficient
@@ -172,7 +166,6 @@ def sharpness(front: FrontWord | OrientedFront) -> SharpnessReport:
     from the front's.  Given equal writhes, beta = -deg_a(F) - 1 is the
     second Kauffman test restated.
     """
-    of = _as_oriented(front)
     inv = invariants(of)
     d = from_oriented_front(of)
     w = writhe(d)

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import settings
 
 from frontinv.check import check_front, front_ok
-from frontinv.front import FrontWord, Letter
+from frontinv.front import FrontWord, Letter, OrientedFront
+from frontinv.poly import LaurentPoly
+from frontinv.rulings import enumerate_rulings
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -48,6 +50,16 @@ def recursion_headroom(frames: int):
         yield
     finally:
         sys.setrecursionlimit(old)
+
+
+def enumerated_polynomial(word: FrontWord, of: OrientedFront | None = None) -> LaurentPoly:
+    """The (oriented) ruling polynomial counted off ``enumerate_rulings``:
+    z**(s - c + 1) for each ruling with s switches."""
+    c = word.num_left_cusps
+    terms: dict[int, int] = {}
+    for rho in enumerate_rulings(word, of):
+        terms[rho.s - c + 1] = terms.get(rho.s - c + 1, 0) + 1
+    return LaurentPoly(terms)
 
 
 def random_front(rng: random.Random, max_len: int = 14, max_strands: int = 6) -> FrontWord | None:

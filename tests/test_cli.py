@@ -291,6 +291,8 @@ TREFOIL = str(CORPUS / "trefoil.front")
         ("poly", str(CORPUS / "trefoil.pd"), "--which", "Q"),
         # a directory that holds no .front file
         ("verify", str(CORPUS / "expected")),
+        # comm@0 applies on the trefoil; the unknown part must not be dropped
+        ("moves", TREFOIL, "--apply", "comm@0,bogus"),
     ],
 )
 def test_bad_arguments_end_in_one_coded_line(capsys, args):

@@ -265,15 +265,17 @@ def test_trace_measure_monotone():
     assert {"case1.skein-type3", "case2.skein-type2"} <= fired
 
 
-def test_fuel_budget_is_generous():
-    # the documented default must be far above anything desk scale needs
+def test_fuel_budget_is_generous(monkeypatch):
+    # the documented budget must be far above anything desk scale needs
+    monkeypatch.setattr(legskein, "_DEFAULT_FUEL", 10 ** 6)
     for name, word in corpus_words():
-        evaluate_B(word, fuel=10 ** 6)
+        evaluate_B(word)
 
 
-def test_fuel_exhaustion_raises():
+def test_fuel_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(legskein, "_DEFAULT_FUEL", 1)
     with pytest.raises(FuelExhausted):
-        evaluate_B(parse_front("l1 l3 x2 x2 x2 r1 r1"), fuel=1)
+        evaluate_B(parse_front("l1 l3 x2 x2 x2 r1 r1"))
 
 
 @pytest.mark.parametrize("memo", [True, False])

@@ -11,12 +11,13 @@ from conftest import (
     closed_words,
     corpus_paths,
     corpus_words,
+    enumerated_polynomial,
     expected_fixture,
     random_fronts,
     recursion_headroom,
 )
 
-from frontinv.front import R, X, all_orientations, crossing_signs, orient, parse_front
+from frontinv.front import FrontWord, R, X, all_orientations, crossing_signs, orient, parse_front
 from frontinv.poly import LaurentPoly, parse_poly1
 from frontinv.rulings import (
     Ruling,
@@ -166,7 +167,7 @@ def test_enumeration_is_not_bounded_by_recursion_depth():
     with recursion_headroom(100):
         assert enumerate_rulings(w) == [Ruling(())]
         assert enumerate_rulings(w, orient(w)) == [Ruling(())]
-        assert ruling_polynomial(w, memo=False) == parse_poly1("z^-599")
+        assert enumerated_polynomial(w) == parse_poly1("z^-599")
 
 
 def test_sweep_skips_the_switch_branch_at_negative_crossings(monkeypatch):
@@ -262,12 +263,11 @@ def test_oriented_rulings_are_rulings():
 
 
 def test_memo_matches_enumeration():
+    # the merging sweep against the rulings it would list, counted one by one
     for w in random_fronts(seed=43, count=60, max_len=12):
-        assert ruling_polynomial(w, memo=True) == ruling_polynomial(w, memo=False)
+        assert ruling_polynomial(w) == enumerated_polynomial(w)
         of = orient(w)
-        assert oriented_ruling_polynomial(of, memo=True) == oriented_ruling_polynomial(
-            of, memo=False
-        )
+        assert oriented_ruling_polynomial(of) == enumerated_polynomial(w, of)
 
 
 def test_skein_relation_on_random_sites():
@@ -286,7 +286,7 @@ def test_skein_relation_on_random_sites():
         for k in range(len(letters) - 1):
             p, q = letters[k], letters[k + 1]
             if p.kind == "l" and q.kind == "x" and q.index == p.index - 1:
-                from frontinv.front import FrontWord, L as Lf, X as Xf
+                from frontinv.front import L as Lf, X as Xf
 
                 mu = p.index
                 hi = FrontWord(letters[:k] + (Lf(mu - 1), Xf(mu)) + letters[k + 2:])
@@ -314,7 +314,7 @@ def test_disjoint_union_rule():
     words = [w for _, w in corpus_words()]
     for w1 in words[:6]:
         for w2 in words[:6]:
-            combined = w1.concat(w2)
+            combined = FrontWord(w1.letters + w2.letters)
             assert ruling_polynomial(combined) == parse_poly1("z^-1") * ruling_polynomial(
                 w1
             ) * ruling_polynomial(w2)
