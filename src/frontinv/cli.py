@@ -171,13 +171,22 @@ def _parse_move(text: str) -> Move:
     parts = text.split(",")
     rule, _, site = parts[0].partition("@")
     inverse, m = False, None
+    given = set()
     for p in parts[1:]:
-        if p == "inverse":
-            inverse = True
-        elif p.startswith("m="):
-            m = _int_arg(p[2:], "--apply m")
-        else:
+        name = "m" if p.startswith("m=") else p
+        if name not in ("inverse", "m"):
             raise BadArgument(f"unknown --apply part {p!r}; expected inverse or m=K")
+        if name in given:
+            raise BadArgument(f"--apply part {name!r} given twice")
+        given.add(name)
+        if name == "inverse":
+            if rule in ("comm", "type3"):
+                raise BadArgument(f"--apply part 'inverse' does not apply to {rule}, its own inverse")
+            inverse = True
+        else:
+            m = _int_arg(p[2:], "--apply m")
+    if m is not None and not (inverse and rule in ("type1_lo", "type1_hi")):
+        raise BadArgument(f"--apply part 'm={m}' is read only by an inverse type1_lo or type1_hi")
     return Move(rule, _int_arg(site, "--apply SITE"), inverse, m)
 
 

@@ -387,6 +387,7 @@ def invariants(of: OrientedFront) -> FrontInvariants:
 # Planar-isotopy commutations (shared by moves and the rewrite evaluator)
 
 
+@lru_cache(maxsize=4096)
 def swap_adjacent_all(first: Letter, second: Letter) -> tuple[tuple[Letter, Letter], ...]:
     """All ways to commute two adjacent letters by planar isotopy.
 

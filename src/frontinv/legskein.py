@@ -66,6 +66,7 @@ planar-isotopy commutations share a canonical form, which is the key.
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
 
 from .errors import FuelExhausted, InternalInconsistency
 from .front import FrontWord, L, Letter, R, X, strand_counts, swap_adjacent_all
@@ -90,6 +91,7 @@ def _word_key(letters) -> tuple:
     return tuple(_letter_key(l) for l in letters)
 
 
+@lru_cache(maxsize=4096)
 def _pair_forms(p: Letter, q: Letter) -> tuple[tuple[Letter, Letter], ...]:
     """The full commutation class of an adjacent pair (at most three forms)."""
     seen = {(p, q)}

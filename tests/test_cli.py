@@ -242,6 +242,11 @@ def test_moves_apply(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "moves", str(f), "--apply", "type2_lo@1")
     assert code == 0
     assert json.loads(out)["front"] == "l1 l2 r1 r1"
+    # the insertion reads both of its parts, in either order
+    trefoil = str(CORPUS / "trefoil.front")
+    code, out, _ = run_cli(capsys, "moves", trefoil, "--apply", "type1_hi@1,m=1,inverse")
+    assert code == 0
+    assert json.loads(out) == {"front": "l1 l1 x2 r1 l3 x2 x2 x2 r1 r1", "applied": ["type1_hi@1,inverse,m=1"]}
 
 
 def test_moves_random_deterministic(capsys):
@@ -293,6 +298,10 @@ TREFOIL = str(CORPUS / "trefoil.front")
         ("verify", str(CORPUS / "expected")),
         # comm@0 applies on the trefoil; the unknown part must not be dropped
         ("moves", TREFOIL, "--apply", "comm@0,bogus"),
+        # parts the rule never reads, and a part given twice
+        ("moves", TREFOIL, "--apply", "comm@0,inverse"),
+        ("moves", TREFOIL, "--apply", "comm@0,m=5"),
+        ("moves", TREFOIL, "--apply", "type1_hi@1,inverse,m=1,m=2"),
     ],
 )
 def test_bad_arguments_end_in_one_coded_line(capsys, args):

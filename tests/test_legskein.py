@@ -9,7 +9,7 @@ from conftest import closed_words, corpus_words, random_fronts, recursion_headro
 from frontinv.errors import FuelExhausted
 from frontinv.front import FrontWord, L, Letter, R, X, parse_front
 from frontinv import legskein
-from frontinv.legskein import _Budget, _Machine, _scan_eye, _scan_zero, canonicalize, evaluate_B
+from frontinv.legskein import _Budget, _Evaluator, _Machine, _scan_eye, _scan_zero, canonicalize, evaluate_B
 from frontinv.poly import LaurentPoly, parse_poly1
 from frontinv.rulings import ruling_polynomial
 
@@ -202,6 +202,23 @@ def test_memo_key_built_only_for_machine_words(monkeypatch):
     ]
 
 
+def test_memo_key_merges_pinned_machine_runs():
+    # Machine runs are memo misses, so they move when the canonical key
+    # merges words differently; a faster key must keep them.
+    def runs(word):
+        ev = _Evaluator(True, None)
+        ev.eval(word.letters)
+        return ev.runs
+
+    assert sum(runs(w) for _, w in corpus_words()) == 23
+    for text, expected in [
+        ("l1 l2 l3 l4 x3 x3 x3 x2 x2 x2 x2 x2 x3 x3 x3 x3 r4 r3 r2 r1", 53),
+        ("l1 l2 l3 x2 x2 x2 x2 x1 x1 x1 x2 x2 x2 x2 x2 r3 r2 r1", 44),
+        ("l1 l2 l3 l4 x1 x2 x3 x1 x2 x3 x1 x2 x3 x1 x2 x3 r4 r3 r2 r1", 182),
+    ]:
+        assert runs(parse_front(text)) == expected, text
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -266,10 +283,13 @@ def test_trace_measure_monotone():
 
 
 def test_fuel_budget_is_generous(monkeypatch):
-    # the documented budget must be far above anything desk scale needs
-    monkeypatch.setattr(legskein, "_DEFAULT_FUEL", 10 ** 6)
+    # the default budget must be at least 100x what desk-scale fronts need:
+    # twist(37) needs 740 steps, the 4-strand closure 201, the corpus <= 27
+    monkeypatch.setattr(legskein, "_DEFAULT_FUEL", legskein._DEFAULT_FUEL // 100)
     for name, word in corpus_words():
         evaluate_B(word)
+    evaluate_B(parse_front("l1 l3 " + "x2 " * 37 + "r1 r1"))
+    evaluate_B(parse_front("l1 l2 l3 l4 x3 x3 x3 x2 x2 x2 x2 x2 x3 x3 x3 x3 r4 r3 r2 r1"))
 
 
 def test_fuel_exhaustion_raises(monkeypatch):
