@@ -15,7 +15,11 @@ The reduction walks the suffix after the rightmost left cusp, keeping the
 normal form  X l_m (x_{m-1} .. x_{m-N1}) (x_{m+1} .. x_{m+N2}) Y  and
 dispatching on the first letter of Y.  Each dispatch either absorbs a letter
 into X, grows a run, removes crossings with a Type 1/2 move, or fires the
-skein relation.
+skein relation.  The cases below the cusp (side d = -1, run1) mirror those
+above it (d = +1, run2), so each is written once for d.  Three steps do not
+mirror: a right cusp absorbed below also moves the cusp two strands down, a
+Type 2 move inside run1 also carries run2 into Y (run2 follows run1 in the
+word), and the Type 3 step always fires on run1.
 
 The skein relation is built in one place, ``_Machine._skein``.  With d = -1
 or +1 it reads
@@ -247,16 +251,26 @@ class _Budget:
         self.spent += 1
 
 
+# The words that name side d in rule names: beyond run d, run d, its end.
+_SIDE_WORDS = {-1: ("below", "run1", "lo"), +1: ("above", "run2", "hi")}
+
+
 class _Machine:
-    """One run of the rightmost-cusp reduction on a single word."""
+    """One run of the rightmost-cusp reduction on a single word.
+
+    The runs are keyed by side: ``n[-1]`` is N1 (run1, below the cusp) and
+    ``n[+1]`` is N2 (run2, above it).  A head letter lies on side d at
+    distance k = (i - m) * d from the cusp; at the cusp, d is the side of the
+    non-empty run, if only one is.  Moved left past l_m, a letter on side d
+    drops 1 + d in index: none below the cusp, two above it.
+    """
 
     def __init__(self, letters: Letters, budget: _Budget, trace, run_id: int):
         t0 = max(t for t, let in enumerate(letters) if let.kind == "l")
         self.X = list(letters[:t0])
         self.m = letters[t0].index
         self.n_strands = strand_counts(letters)[t0] + 2
-        self.n1 = 0
-        self.n2 = 0
+        self.n = {-1: 0, +1: 0}
         self.Y = list(letters[t0 + 1:])
         self.L_count = sum(1 for let in letters if let.kind == "l")
         self.sides: list[tuple[LaurentPoly, Letters]] = []
@@ -267,14 +281,12 @@ class _Machine:
 
     # -- bookkeeping
 
-    def _run1(self) -> list[Letter]:
-        return [X(i) for i in range(self.m - 1, self.m - self.n1 - 1, -1)]
-
-    def _run2(self) -> list[Letter]:
-        return [X(i) for i in range(self.m + 1, self.m + self.n2 + 1)]
+    def _run(self, d: int) -> list[Letter]:
+        """Run d, from the cusp outward: x_(m+d), x_(m+2d), .."""
+        return [X(self.m + d * j) for j in range(1, self.n[d] + 1)]
 
     def _measure(self) -> tuple[int, int]:
-        cr_suffix = self.n1 + self.n2 + sum(1 for let in self.Y if let.kind == "x")
+        cr_suffix = self.n[-1] + self.n[+1] + sum(1 for let in self.Y if let.kind == "x")
         return self.L_count, self.n_strands + cr_suffix
 
     def _log(self, rule: str, terminal: bool = False) -> None:
@@ -290,8 +302,8 @@ class _Machine:
                 "L": Lc,
                 "M": M,
                 "N": self.n_strands,
-                "N1": self.n1,
-                "N2": self.n2,
+                "N1": self.n[-1],
+                "N2": self.n[+1],
                 "terminal": terminal,
             }
         )
@@ -301,20 +313,20 @@ class _Machine:
     def _skein(self, d: int, times: int) -> None:
         """Apply the skein relation to l_m x_(m+d), d = -1 or +1, ``times`` times.
 
-        x_(m+d) is the first crossing of run1 (d = -1) or run2 (d = +1).  The
-        side words z [X l_m rest] and -z [X l_(m+d) rest] go to ``sides``; the
-        main word is the normal form at cusp m+d, with the fired run one
-        crossing shorter and the other one crossing longer.
+        x_(m+d) is the first crossing of run d.  The side words z [X l_m rest]
+        and -z [X l_(m+d) rest] go to ``sides``; the main word is the normal
+        form at cusp m+d, with run d one crossing shorter and the other one
+        crossing longer.
         """
         z = LaurentPoly.monomial
         for _ in range(times):
-            r1, r2 = self._run1(), self._run2()
-            rest = (r1[1:] + r2 if d < 0 else r1 + r2[1:]) + self.Y
+            below, above = self._run(-1), self._run(+1)
+            rest = (below[1:] + above if d < 0 else below + above[1:]) + self.Y
             self.sides.append((z(1), tuple(self.X + [L(self.m)] + rest)))
             self.sides.append((z(1, 0, -1), tuple(self.X + [L(self.m + d)] + rest)))
             self.m += d
-            self.n1 += d
-            self.n2 -= d
+            self.n[d] -= 1
+            self.n[-d] += 1
 
     # -- the dispatch loop; returns ("zero",) or ("recurse", coeff, letters)
 
@@ -326,139 +338,91 @@ class _Machine:
             head = self.Y[0]
             if head.kind == "l":
                 raise InternalInconsistency("left cusp after the rightmost left cusp")
-            result = self._dispatch_x(head) if head.kind == "x" else self._dispatch_r(head)
+            if head.index != self.m:
+                d = -1 if head.index < self.m else +1
+            elif self.n[-1] and self.n[+1]:
+                # the Type 3 step: the head stays and now lies inside run2
+                # (see the module docstring)
+                self._skein(-1, 1)
+                self._log("case1.skein-type3" if head.kind == "x" else "case2.skein-type2")
+                continue
+            else:
+                d = -1 if self.n[-1] else +1
+            k = (head.index - self.m) * d
+            step = self._crossing if head.kind == "x" else self._right_cusp
+            result = step(head.index, d, k)
             if result is not None:
                 return result
 
-    def _dispatch_x(self, head: Letter):
-        m, n1, n2 = self.m, self.n1, self.n2
-        i = head.index
-        if i <= m - n1 - 2:
+    def _crossing(self, i: int, d: int, k: int):
+        n = self.n[d]
+        beyond, run, end = _SIDE_WORDS[d]
+        if k == 0:
+            if n == 0:
+                self._log("case1.zero-lx", terminal=True)
+                return ("zero",)
             self.Y.pop(0)
-            self.X.append(X(i))
-            self._log("case1.absorb-below")
-        elif i == m - n1 - 1:
+            self.m += d
+            self.n[d] -= 1
+            self._log(f"case1.type2-{end}")
+        elif k == n:
+            self._skein(d, n)
             self.Y.pop(0)
-            self.n1 += 1
-            self._log("case1.grow-run1")
-        elif i == m - n1 and n1 >= 1:
-            self._skein(-1, n1)
-            self.Y.pop(0)
-            # now cusp m-n1 with empty run1; finish with the Type 2 move
-            self.m += 1
-            self.n2 -= 1
-            self._log("case1.skein-type2-lo")
-        elif i < m:
-            self.Y.pop(0)
-            self.X.append(X(i - 1))
-            self._log("case1.braid-slide-run1")
-        elif i == m:
-            return self._case1_sub5()
-        elif i < m + n2:
+            # now cusp m + n d with run d empty; finish with the Type 2 move
+            self.m -= d
+            self.n[-d] -= 1
+            self._log(f"case1.skein-type2-{end}")
+        elif k < n:
             self.Y.pop(0)
             self.X.append(X(i - 1))
-            self._log("case1.braid-slide-run2")
-        elif i == m + n2 and n2 >= 1:
-            self._skein(+1, n2)
+            self._log(f"case1.braid-slide-{run}")
+        elif k == n + 1:
             self.Y.pop(0)
-            self.m -= 1
-            self.n1 -= 1
-            self._log("case1.skein-type2-hi")
-        elif i == m + n2 + 1:
-            self.Y.pop(0)
-            self.n2 += 1
-            self._log("case1.grow-run2")
+            self.n[d] += 1
+            self._log(f"case1.grow-{run}")
         else:
             self.Y.pop(0)
-            self.X.append(X(i - 2))
-            self._log("case1.absorb-above")
+            self.X.append(X(i - 1 - d))
+            self._log(f"case1.absorb-{beyond}")
         return None
 
-    def _case1_sub5(self):
-        n1, n2 = self.n1, self.n2
-        if n1 == 0 and n2 == 0:
-            self._log("case1.zero-lx", terminal=True)
-            return ("zero",)
-        if n2 == 0:
+    def _right_cusp(self, i: int, d: int, k: int):
+        n = self.n[d]
+        beyond, run, end = _SIDE_WORDS[d]
+        if k == 0:
             self.Y.pop(0)
-            self.m -= 1
-            self.n1 -= 1
-            self._log("case1.type2-lo")
-        elif n1 == 0:
-            self.Y.pop(0)
-            self.m += 1
-            self.n2 -= 1
-            self._log("case1.type2-hi")
-        else:
-            # the head x_m stays: it now lies inside run2 (see the module docstring)
-            self._skein(-1, 1)
-            self._log("case1.skein-type3")
-        return None
-
-    def _dispatch_r(self, head: Letter):
-        m, n1, n2 = self.m, self.n1, self.n2
-        i = head.index
-        if i <= m - n1 - 2:
-            self.Y.pop(0)
-            self.X.append(R(i))
-            self.m -= 2
-            self.n_strands -= 2
-            self._log("case2.absorb-below")
-        elif i == m - n1 - 1:
-            self._skein(-1, n1)
-            self._log("case2.skein-zigzag-lo", terminal=True)
-            return ("zero",)
-        elif i == m - n1 and n1 >= 1:
+            if n == 0:
+                self._log("case2.split-eye", terminal=True)
+                return ("recurse", LaurentPoly.monomial(-1), tuple(self.X + self.Y))
+            rest = [X(c.index - 1 - d) for c in self._run(d)[1:]]
+            self._log(f"case2.type1-{end}", terminal=True)
+            return ("recurse", LaurentPoly.one(), tuple(self.X + rest + self.Y))
+        if k == n:
             self._log("case2.zero-xr", terminal=True)
             return ("zero",)
-        elif i < m:
-            self.Y.pop(0)
-            moved = [X(k) for k in range(i - 2, m - n1 - 1, -1)]
-            shifted2 = [X(k - 2) for k in range(m + 1, m + n2 + 1)]
-            self.Y[0:0] = [R(i - 1)] + moved + shifted2
-            self.n1 = m - 1 - i
-            self.n2 = 0
-            self._log("case2.type2-run1")
-        elif i == m:
-            return self._case2_sub5()
-        elif i < m + n2:
-            self.Y.pop(0)
-            shifted2 = [X(k - 2) for k in range(i + 2, m + n2 + 1)]
-            self.Y[0:0] = [R(i + 1)] + shifted2
-            self.n2 = i - 1 - m
-            self._log("case2.type2-run2")
-        elif i == m + n2 and n2 >= 1:
-            self._log("case2.zero-xr", terminal=True)
+        if k == n + 1:
+            self._skein(d, n)
+            self._log(f"case2.skein-zigzag-{end}", terminal=True)
             return ("zero",)
-        elif i == m + n2 + 1:
-            self._skein(+1, n2)
-            self._log("case2.skein-zigzag-hi", terminal=True)
-            return ("zero",)
-        else:
-            self.Y.pop(0)
-            self.X.append(R(i - 2))
-            self.n_strands -= 2
-            self._log("case2.absorb-above")
-        return None
-
-    def _case2_sub5(self):
-        m, n1, n2 = self.m, self.n1, self.n2
-        if n1 >= 1 and n2 >= 1:
-            # as in Type 3, the head r_m stays and now lies inside run2
-            self._skein(-1, 1)
-            self._log("case2.skein-type2")
-            return None
         self.Y.pop(0)
-        if n1 == 0 and n2 == 0:
-            self._log("case2.split-eye", terminal=True)
-            return ("recurse", LaurentPoly.monomial(-1), tuple(self.X + self.Y))
-        if n2 == 0:
-            rest1 = [X(i) for i in range(m - 2, m - n1 - 1, -1)]
-            self._log("case2.type1-lo", terminal=True)
-            return ("recurse", LaurentPoly.one(), tuple(self.X + rest1 + self.Y))
-        rest2 = [X(i - 2) for i in range(m + 2, m + n2 + 1)]
-        self._log("case2.type1-hi", terminal=True)
-        return ("recurse", LaurentPoly.one(), tuple(self.X + rest2 + self.Y))
+        if k > n + 1:
+            self.X.append(R(i - 1 - d))
+            self.n_strands -= 2
+            if d < 0:
+                self.m -= 2
+            self._log(f"case2.absorb-{beyond}")
+            return None
+        # x_i x_(i+d) r_i = r_(i+d): run d keeps its first k - 1 crossings and
+        # the rest follow r_(i+d) into Y; below the cusp run2 follows too,
+        # since r_i had to pass it first
+        tail = [X(c.index - 1 - d) for c in self._run(d)[k + 1:]]
+        if d < 0:
+            tail += [X(c.index - 2) for c in self._run(+1)]
+            self.n[+1] = 0
+        self.Y[0:0] = [R(i + d)] + tail
+        self.n[d] = k - 1
+        self._log(f"case2.type2-{run}")
+        return None
 
 
 class _Evaluator:

@@ -54,9 +54,11 @@ def _swap(pairing: tuple[int, ...], m: int) -> tuple[int, ...]:
 
 
 def _nested_or_disjoint(i: int, pi: int, j: int, pj: int) -> bool:
+    """Whether the pairs {i, pi} and {j, pj} are nested or disjoint, given
+    j > i: then {j, pj} cannot lie wholly below {i, pi}."""
     a = (min(i, pi), max(i, pi))
     b = (min(j, pj), max(j, pj))
-    if a[1] < b[0] or b[1] < a[0]:
+    if a[1] < b[0]:
         return True
     return (a[0] < b[0] and b[1] < a[1]) or (b[0] < a[0] and a[1] < b[1])
 

@@ -11,6 +11,7 @@ from conftest import CORPUS, corpus_words
 from frontinv import check, cli, rulings, toposkein
 from frontinv.cli import main
 from frontinv.front import components, parse_front, stabilize
+from frontinv.poly import LaurentPoly
 
 
 def run_cli(capsys, *args) -> tuple[int, str, str]:
@@ -214,6 +215,45 @@ def test_verify_fails_front_past_orientation_budget(capsys, monkeypatch):
     # Theorem 3.1 does not read the oriented check
     code, _, _ = run_cli(capsys, "verify", str(CORPUS), "--theorem", "3.1")
     assert code == 0
+
+
+def test_verify_fails_when_the_rewrite_route_alone_is_off(capsys, monkeypatch):
+    # B_leg off by z on the trefoil alone: the sweep and the skein tree still
+    # agree there, and Theorem 3.1 must fail on the rewrite route by itself
+    trefoil = parse_front("l1 l3 x2 x2 x2 r1 r1")
+    evaluate_B = check.evaluate_B
+
+    def off(word):
+        return evaluate_B(word) + LaurentPoly.monomial(1, c=int(word == trefoil))
+
+    monkeypatch.setattr(check, "evaluate_B", off)
+    code, out, _ = run_cli(capsys, "verify", str(CORPUS), "--theorem", "3.1")
+    assert code == 1
+    fronts = json.loads(out)["fronts"]
+    assert fronts["trefoil"]["agree_3_1"] is False and fronts["trefoil"]["ok"] is False
+    assert fronts["trefoil"]["R"] == fronts["trefoil"]["B_topo"]
+    assert all(rec["ok"] for name, rec in fronts.items() if name != "trefoil")
+
+
+def test_verify_fails_when_one_orientation_alone_is_off(capsys, monkeypatch):
+    # the oriented sweep off by z on hopf's reversal pair (+, -) alone; the
+    # default order lists (-, -) last, so the verdict must read every pair
+    hopf = parse_front("l1 l3 x2 x2 r1 r1")
+    sweep = check.oriented_ruling_polynomial
+
+    def off(of):
+        wrong = of.word == hopf and of.choices == (True, False)
+        return sweep(of) + LaurentPoly.monomial(1, c=int(wrong))
+
+    monkeypatch.setattr(check, "oriented_ruling_polynomial", off)
+    code, out, _ = run_cli(capsys, "verify", str(CORPUS), "--theorem", "4.1")
+    assert code == 1
+    fronts = json.loads(out)["fronts"]
+    rec = fronts["hopf"]
+    assert rec["agree_4_1"] is False and rec["ok"] is False
+    assert [o["choices"] for o in rec["oriented"] if o["OR"] != o["Q"]] == ["-+", "+-"]
+    assert rec["oriented"][-1]["OR"] == rec["oriented"][-1]["Q"]
+    assert all(rec["ok"] for name, rec in fronts.items() if name != "hopf")
 
 
 def test_verify_timings_field(capsys):

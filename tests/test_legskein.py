@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -131,10 +133,28 @@ def test_skein_relation_on_sweep():
     assert checked >= 50
 
 
+# For each rule and run state before it (each of N1, N2 zero or not) that
+# closed_words(9, 6) reaches and closed_words(8, 4) never does, the shortest
+# word of closed_words(9, 6) that reaches it.
+RUN_STATE_WORDS = [
+    "l1 l1 x2 x3 x2 x1 x1 r2 r1",
+    "l1 l1 l2 x1 x3 x4 r1 r1 r1",
+    "l1 l1 l1 x2 x5 r4 x3 r2 r1",
+    "l1 l1 l2 x1 r4 x3 r2 r1",
+    "l1 l1 l4 x2 x3 x5 r1 r1 r1",
+    "l1 l1 l1 x2 x4 r3 r2 r1",
+    "l1 l1 l2 x1 x3 r4 x3 r2 r1",
+    "l1 l1 l4 x3 x5 r2 r1 r1",
+    "l1 l1 l4 x3 x2 x5 r3 r2 r1",
+    "l1 l1 l2 x1 x3 x4 r3 r2 r1",
+    "l1 l2 x3 l5 r3 r2 r1",
+]
+
+
 def test_each_machine_run_preserves_value():
     # one machine run rewrites its word into side words plus a remainder;
     # the sweep must give both sides of that identity the same value
-    for word in closed_words(8, 4):
+    for word in closed_words(8, 4) + [parse_front(text) for text in RUN_STATE_WORDS]:
         trace: list = []
         machine = _Machine(word.letters, _Budget(10 ** 6), trace, 1)
         result = machine.run()
@@ -254,19 +274,50 @@ def test_memoization_soundness():
         assert evaluate_B(w, memo=True) == evaluate_B(w, memo=False)
 
 
+def _census() -> list[FrontWord]:
+    """Every closed word of <= 8 letters on <= 4 strands, the corpus and the
+    run-state words."""
+    corpus = [word for _, word in corpus_words()]
+    return closed_words(8, 4) + corpus + [parse_front(text) for text in RUN_STATE_WORDS]
+
+
+# The machine's 23 rules; each case of run1 (below the cusp) has a mirror of run2.
+RULES = {
+    "case1.absorb-below", "case1.grow-run1", "case1.skein-type2-lo", "case1.braid-slide-run1",
+    "case1.absorb-above", "case1.grow-run2", "case1.skein-type2-hi", "case1.braid-slide-run2",
+    "case1.type2-lo", "case1.type2-hi", "case1.zero-lx", "case1.skein-type3",
+    "case2.absorb-below", "case2.skein-zigzag-lo", "case2.type2-run1", "case2.type1-lo",
+    "case2.absorb-above", "case2.skein-zigzag-hi", "case2.type2-run2", "case2.type1-hi",
+    "case2.zero-xr", "case2.split-eye", "case2.skein-type2",
+}
+
+
+def test_census_traces_are_pinned():
+    # every trace entry, with the word and its value, of the census under
+    # one SHA-256: a rewrite of the machine that keeps the digest fires the
+    # same rules at the same sites, with the same measures, on every word
+    digest = hashlib.sha256()
+    fired = set()
+    for word in _census():
+        trace: list = []
+        value = evaluate_B(word, trace=trace)
+        fired |= {e["rule"] for e in trace}
+        digest.update(json.dumps([word.render(), str(value), trace], sort_keys=True).encode())
+    assert len(RULES) == 23 and fired == RULES | {"start"}
+    assert digest.hexdigest() == "00892bba8bfeeb65f602ad6e43a5c84792625ee67b446734ebd5f50840ec939a"
+
+
 def test_trace_measure_monotone():
     # within each machine run, every rewriting step lowers the measure
     # (L, M, -(N1 + N2), N1) lexicographically: (L, M) never increases, and
     # steps holding it fixed grow N1 + N2 or, for a lone skein step, hold it
     # and shorten run1; terminal entries read a value off without rewriting
-    # and are exempt.  The two extra words fire the lone skein steps.
+    # and are exempt.  The census fires every rule, on both sides of the cusp.
     def measure(e):
         return (e["L"], e["M"], -(e["N1"] + e["N2"]), e["N1"])
 
-    words = [word for _, word in corpus_words()]
-    words += [parse_front("l1 l2 x1 x3 x2 x1 r2 r1"), parse_front("l1 l1 x2 x1 x1 x3 r2 r1")]
     fired = set()
-    for word in words:
+    for word in _census():
         trace: list = []
         evaluate_B(word, trace=trace)
         fired |= {e["rule"] for e in trace}
@@ -279,7 +330,7 @@ def test_trace_measure_monotone():
                     assert measure(cur) < measure(prev), (word.render(), cur["rule"])
         for e in trace:
             assert e["N1"] + e["N2"] <= e["N"] - 2
-    assert {"case1.skein-type3", "case2.skein-type2"} <= fired
+    assert RULES <= fired
 
 
 def test_fuel_budget_is_generous(monkeypatch):

@@ -20,7 +20,7 @@ from frontinv.diagram import (
     traverse,
     writhe,
 )
-from frontinv.errors import FuelExhausted, ParseError
+from frontinv.errors import FuelExhausted, InternalInconsistency, ParseError
 from frontinv.front import (
     all_orientations,
     applicable_moves,
@@ -349,6 +349,17 @@ def test_sharpness_implication_on_corpus():
             rep = sharpness(of)
             if rep.homfly_sharp:
                 assert rep.kauffman_sharp
+
+
+def test_sharpness_computes_each_flag_two_ways(monkeypatch):
+    # an a^c term on the trefoil's D moves its a-degree past c - 1 but keeps
+    # the a^(c-1) coefficient; the two Kauffman tests then disagree
+    trefoil = orient(parse_front("l1 l3 x2 x2 x2 r1 r1"))
+    c = trefoil.word.num_left_cusps
+    D = toposkein.kauffman_D
+    monkeypatch.setattr(toposkein, "kauffman_D", lambda d: D(d) + LaurentPoly.monomial(0, c))
+    with pytest.raises(InternalInconsistency, match="Kauffman sharpness"):
+        sharpness(trefoil)
 
 
 def test_zero_diagram_degenerate():
