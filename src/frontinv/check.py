@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 
-from .front import FrontWord, all_orientations, components, invariants, orient
+from .front import FrontWord, all_orientations, components, crossing_signs, invariants, orient
 from .legskein import evaluate_B
 from .rulings import oriented_ruling_polynomial, ruling_polynomial
 from .toposkein import Q_of, sharpness
@@ -60,11 +60,12 @@ def check_front(word: FrontWord, flags=None, *, timings: bool = False) -> dict:
         "homfly_sharp": rep.homfly_sharp,
     }
     if orientations:
-        # Reversing every component changes neither H (HOMFLY is invariant
-        # under global reversal, and the writhe is unchanged) nor the oriented
-        # ruling polynomial (the sweep reads the orientation only through
-        # crossing signs, which a global reversal keeps).  So each reversal
-        # pair is evaluated once, on the orientation with choices[0] true.
+        # Reversing every component keeps H (HOMFLY is invariant under global
+        # reversal, and the writhe is unchanged) and every crossing sign, and
+        # the sweep reads an orientation only as the mask of crossings where a
+        # switch may be taken.  So each reversal pair is evaluated once, on
+        # the orientation with choices[0] true, and a default orientation with
+        # no negative crossing (a positive braid closure) has R's mask: OR = R.
         by_choices = {of.choices: of for of in orientations}
         values: dict = {}
         oriented_records = []
@@ -73,7 +74,8 @@ def check_front(word: FrontWord, flags=None, *, timings: bool = False) -> dict:
             key = of.choices if of.choices[0] else tuple(not c for c in of.choices)
             if key not in values:
                 pair = by_choices[key]
-                OR = timed("sweep", oriented_ruling_polynomial, pair)
+                positive = all(key) and -1 not in crossing_signs(pair)
+                OR = R if positive else timed("sweep", oriented_ruling_polynomial, pair)
                 Q = rep.Q if all(key) else timed("skein", Q_of, pair)
                 values[key] = (OR, Q)
             OR, Q = values[key]

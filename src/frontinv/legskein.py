@@ -55,7 +55,7 @@ slides, Type 1/2 moves and skein cascades that end in a Type 2 move lower M.
 Growing a run holds M and grows N1 + N2.  A lone skein step (Type 3, or its
 twin before r_m) holds M and N1 + N2 and shortens run1.  Since
 N1 + N2 <= N - 2, the walk terminates; a fuel counter guards against
-implementation bugs.
+implementation bugs, and bounds the time spent on canonical memo keys.
 
 Each word meets the rules in a fixed order, all read off its raw letters:
 the split rule (a split union is the product of its factors), then the
@@ -80,7 +80,7 @@ Letters = tuple[Letter, ...]
 
 _KIND_RANK = {"x": 0, "l": 1, "r": 2}
 
-_DEFAULT_FUEL = 1_000_000  # reduction steps per evaluate_B call
+_DEFAULT_FUEL = 1_000_000  # machine steps and memo-key misses per evaluate_B call
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +147,11 @@ def _front_candidates(letters: tuple[Letter, ...]) -> set[tuple[Letter, tuple[Le
 
 
 class _Canonicalizer:
-    def __init__(self):
+    def __init__(self, budget: _Budget | None = None):
         self.memo: dict[tuple[Letter, ...], tuple[Letter, ...]] = {}
+        self.budget = budget
 
-    def run(self, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    def canonicalize(self, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
         while True:
             improved = self._minimize(letters)
             if improved == letters:
@@ -163,6 +164,8 @@ class _Canonicalizer:
         cached = self.memo.get(letters)
         if cached is not None:
             return cached
+        if self.budget is not None:
+            self.budget.spend()
         self.memo[letters] = letters  # guards accidental cycles
         candidates = _front_candidates(letters)
         best_front_key = min(_letter_key(front) for front, _ in candidates)
@@ -194,7 +197,7 @@ def canonicalize(word: FrontWord) -> FrontWord:
     occasionally split across several representatives.  Used as a
     memoization key this costs duplicate entries, never wrong values.
     """
-    return FrontWord(_Canonicalizer().run(word.letters))
+    return FrontWord(_Canonicalizer().canonicalize(word.letters))
 
 
 # ---------------------------------------------------------------------------
@@ -448,17 +451,12 @@ class _Evaluator:
         eye = _scan_eye(letters)
         if eye is not None:
             return LaurentPoly.monomial(-1) * self.eval(letters[:eye] + letters[eye + 2:])
-        key = None
-        if self.memo is not None:
-            key = canonicalize(FrontWord(letters)).letters
-            cached = self.memo.get(key)
-            if cached is not None:
-                return cached
-            letters = key
-        value = self._compute(letters)
-        if self.memo is not None:
-            self.memo[key] = value
-        return value
+        if self.memo is None:
+            return self._compute(letters)
+        key = FrontWord(_Canonicalizer(self.budget).canonicalize(letters)).letters
+        if key not in self.memo:
+            self.memo[key] = self._compute(key)
+        return self.memo[key]
 
     def _compute(self, letters: Letters) -> LaurentPoly:
         self.runs += 1

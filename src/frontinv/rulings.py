@@ -10,11 +10,12 @@ switches only at positive (co-directed) crossings.
 The ruling polynomial is the sum of z**(s - c + 1) over rulings with s
 switches, where c is the number of left cusps.
 
-Two independent implementations are provided: a left-to-right sweep over
-position pairings (:func:`sweep_step`, :func:`enumerate_rulings`) and a
-direct checker (:func:`is_ruling`) that resolves a candidate switch set and
-tests the defining conditions literally.  The checker shares no logic with
-the sweep and serves as its oracle.
+Two independent implementations are provided.  A left-to-right sweep over
+position pairings (:func:`sweep_step`) fills one table per front and switch
+mask (:func:`_live_steps`), which :func:`enumerate_rulings` walks depth first
+and both polynomials walk forward.  A direct checker (:func:`is_ruling`)
+resolves a candidate switch set and tests the defining conditions literally;
+it shares no logic with the sweep and is its oracle.
 
 The sweep's state is the pairing alone.  It reads an orientation only
 through :func:`~frontinv.front.crossing_signs`, as the mask of crossings
@@ -106,7 +107,8 @@ class Ruling(NamedTuple):
 def _live_steps(letters: Sequence[Letter], mask: Sequence[bool]) -> list[dict]:
     """Per letter, a map from every pairing that is reachable there and still
     ends in a ruling to its (plain, switched) next pairings; a step that
-    leads to no ruling is None."""
+    leads to no ruling is None.  The sweep's one caller of :func:`sweep_step`;
+    with no ruling, the first map is empty."""
     steps = []
     reached: set[tuple[int, ...]] = {()}
     for let, may_switch in zip(letters, mask):
@@ -272,35 +274,31 @@ def enumerate_rulings_bruteforce(word: FrontWord, of: OrientedFront | None = Non
     return out
 
 
-def _polynomial_memo(word: FrontWord, of: OrientedFront | None) -> LaurentPoly:
-    """Sweep with branch merging: equal pairings share one weight."""
+def _polynomial(word: FrontWord, of: OrientedFront | None) -> LaurentPoly:
+    """A forward walk of the live table: equal pairings merge their weights,
+    and a switch multiplies a weight by z."""
+    steps = _live_steps(word.letters, _switch_mask(word, of))
+    if steps and () not in steps[0]:
+        return LaurentPoly.zero()
     current: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one()}
-    for let, may_switch in zip(word.letters, _switch_mask(word, of)):
+    for step in steps:
         nxt: dict[tuple[int, ...], LaurentPoly] = {}
         for pairing, weight in current.items():
-            p = sweep_step(pairing, let)
-            if p is not None:
-                nxt[p] = nxt[p] + weight if p in nxt else weight
-            if may_switch:
-                p = sweep_step(pairing, let, switch=True)
-                if p is not None:
-                    switched = weight.shift(1)
-                    nxt[p] = nxt[p] + switched if p in nxt else switched
+            plain, switched = step[pairing]
+            if plain is not None:
+                nxt[plain] = nxt[plain] + weight if plain in nxt else weight
+            if switched is not None:
+                w = weight.shift(1)
+                nxt[switched] = nxt[switched] + w if switched in nxt else w
         current = nxt
-        if not current:
-            return LaurentPoly.zero()
-    total = LaurentPoly.zero()
-    for weight in current.values():
-        total = total + weight
-    c = word.num_left_cusps
-    return total.shift(1 - c)
+    return current[()].shift(1 - word.num_left_cusps)
 
 
 def ruling_polynomial(word: FrontWord) -> LaurentPoly:
     """Sum of z**(s - c + 1) over all rulings."""
-    return _polynomial_memo(word, None)
+    return _polynomial(word, None)
 
 
 def oriented_ruling_polynomial(of: OrientedFront) -> LaurentPoly:
     """As :func:`ruling_polynomial` but switches only at positive crossings."""
-    return _polynomial_memo(of.word, of)
+    return _polynomial(of.word, of)

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from frontinv.check import front_ok
+from frontinv import check
+from frontinv.check import check_front, front_ok
+from frontinv.front import crossing_signs, parse_front
 
 
 SHARED = {"errors", "front"}
@@ -63,3 +65,20 @@ def test_front_ok_per_theorem(change, verdicts):
     rec = dict(RECORD, **change)
     assert tuple(front_ok(rec, t) for t in ("3.1", "4.1", "corollaries")) == verdicts
 
+
+def test_default_pair_with_no_negative_crossing_reuses_R(monkeypatch):
+    # T(2,4): the default pair's crossings are all positive, so its switch
+    # mask is R's and only the other pair gets an oriented sweep
+    swept = []
+    sweep = check.oriented_ruling_polynomial
+
+    def recording(of):
+        swept.append(of)
+        return sweep(of)
+
+    monkeypatch.setattr(check, "oriented_ruling_polynomial", recording)
+    rec = check_front(parse_front("l1 l2 x1 x1 x1 x1 r2 r1"))
+    assert [of.choices for of in swept] == [(True, False)]
+    assert set(crossing_signs(swept[0])) == {-1}
+    assert rec["agree_4_1"] is True
+    assert [o["OR"] for o in rec["oriented"]] == [rec["R"], "z^-1", "z^-1", rec["R"]]

@@ -10,7 +10,7 @@ from conftest import CORPUS, corpus_words
 
 from frontinv import check, cli, rulings, toposkein
 from frontinv.cli import main
-from frontinv.front import components, parse_front, stabilize
+from frontinv.front import components, crossing_signs, orient, parse_front, stabilize
 from frontinv.poly import LaurentPoly
 
 
@@ -185,11 +185,15 @@ def test_verify_evaluates_each_polynomial_once(capsys, monkeypatch):
     assert code == 0
     counts = [components(word).n_components for _, word in corpus_words()]
     assert 3 in counts
-    # one D per front; one H and one oriented sweep per pair of orientations
-    # that differ by a global reversal (2^(k-1) pairs for k components)
+    # one D per front; one H per pair of orientations that differ by a
+    # global reversal (2^(k-1) pairs for k components), and one oriented
+    # sweep per pair but the default one of a front with no negative
+    # crossing, whose OR is R
     assert calls["D"] == len(counts)
     assert calls["H"] == sum(2 ** (k - 1) for k in counts)
-    assert calls["OR"] == sum(2 ** (k - 1) for k in counts)
+    positive = [w for _, w in corpus_words() if -1 not in crossing_signs(orient(w))]
+    assert positive
+    assert calls["OR"] == calls["H"] - len(positive)
 
 
 def test_verify_checks_every_orientation_of_three_components(capsys):

@@ -204,14 +204,15 @@ def test_matches_sweep_on_every_small_front():
 
 def test_memo_key_built_only_for_machine_words(monkeypatch):
     # the empty, zero and eye rules read the raw letters before the memo key
-    # is built, so canonicalize never sees a word that they decide
+    # is built, so no key is built for a word that they decide
     seen = []
+    real = legskein._Canonicalizer.canonicalize
 
-    def recording(word):
-        seen.append(word.letters)
-        return canonicalize(word)
+    def recording(self, letters):
+        seen.append(letters)
+        return real(self, letters)
 
-    monkeypatch.setattr(legskein, "canonicalize", recording)
+    monkeypatch.setattr(legskein._Canonicalizer, "canonicalize", recording)
     for w in closed_words(7, 4):
         evaluate_B(w)
     assert seen
@@ -335,12 +336,30 @@ def test_trace_measure_monotone():
 
 def test_fuel_budget_is_generous(monkeypatch):
     # the default budget must be at least 100x what desk-scale fronts need:
-    # twist(37) needs 740 steps, the 4-strand closure 201, the corpus <= 27
+    # twist(37) needs 6 882 steps (740 machine steps, 6 142 memo-key misses),
+    # the 4-strand closure 1 945, the corpus <= 131
     monkeypatch.setattr(legskein, "_DEFAULT_FUEL", legskein._DEFAULT_FUEL // 100)
     for name, word in corpus_words():
         evaluate_B(word)
     evaluate_B(parse_front("l1 l3 " + "x2 " * 37 + "r1 r1"))
     evaluate_B(parse_front("l1 l2 l3 l4 x3 x3 x3 x2 x2 x2 x2 x2 x3 x3 x3 x3 r4 r3 r2 r1"))
+
+
+def test_fuel_budget_counts_memo_keys(monkeypatch):
+    # building canonical memo keys spends the budget too: one step per word
+    # the descent minimizes afresh, so the machine steps alone run out
+    word = parse_front("l1 l3 " + "x2 " * 37 + "r1 r1")
+    trace = []
+    value = evaluate_B(word, trace=trace)
+    machine_steps = sum(1 for e in trace if e["rule"] != "start")
+    ev = _Evaluator(True, None)
+    ev.eval(word.letters)
+    assert ev.budget.spent > machine_steps
+    monkeypatch.setattr(legskein, "_DEFAULT_FUEL", machine_steps)
+    with pytest.raises(FuelExhausted):
+        evaluate_B(word)
+    monkeypatch.setattr(legskein, "_DEFAULT_FUEL", ev.budget.spent)
+    assert evaluate_B(word) == value
 
 
 def test_fuel_exhaustion_raises(monkeypatch):

@@ -221,6 +221,49 @@ def test_sweep_makes_no_polynomial_product(monkeypatch, text):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "text,value", [("", "z"), ("l1 l1 r2 r1", "0")], ids=["empty", "unknot-stab1"]
+)
+def test_polynomial_walk_ends(text, value):
+    # the empty word walks no letter and keeps the factor z^(1-c) = z; a
+    # word with no ruling has no live pairing in its first step
+    w = parse_front(text) if text else FrontWord(())
+    assert str(ruling_polynomial(w)) == value
+    assert str(oriented_ruling_polynomial(orient(w))) == value
+
+
+def test_polynomial_weighs_only_live_entries(monkeypatch):
+    # figure8: the forward pass reaches switches after which no ruling
+    # continues; the walk computes no weight for them, so it shifts one
+    # weight per live switch, and the total once by z^(1-c)
+    import frontinv.rulings as rulings
+
+    w = parse_front("l1 l1 l1 x2 x2 x1 x1 x1 x4 r2 r1 r1")
+    reached = []
+    real = rulings.sweep_step
+
+    def counted(pairing, letter, switch=False):
+        out = real(pairing, letter, switch)
+        reached.append(switch and out is not None)
+        return out
+
+    monkeypatch.setattr(rulings, "sweep_step", counted)
+    steps = rulings._live_steps(w.letters, rulings._switch_mask(w, None))
+    live = sum(switched is not None for step in steps for _, switched in step.values())
+    assert live < sum(reached)
+    expected = enumerated_polynomial(w)
+    shifts = []
+    real_shift = LaurentPoly.shift
+
+    def counted_shift(self, dz, da=0):
+        shifts.append(dz)
+        return real_shift(self, dz, da)
+
+    monkeypatch.setattr(LaurentPoly, "shift", counted_shift)
+    assert ruling_polynomial(w) == expected
+    assert len(shifts) == live + 1
+
+
 def test_fixtures_match_oracle_and_sweep():
     for name, word in corpus_words():
         fix = expected_fixture(name)
