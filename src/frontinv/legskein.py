@@ -63,8 +63,11 @@ empty word (value z, which makes the split rule and the unknot value
 consistent), then a zero pattern, then an eye l_m r_m (removed with a
 factor z^-1).  Only a word that none of them decides gets a memo key and,
 on a miss, a machine run.  So a chain of eyes costs one lookup per factor,
-and the memo holds only words the machine runs on.  Words equal up to
-planar-isotopy commutations share a canonical form, which is the key.
+and the memo holds only words the machine runs on.  The key is one descent
+of ``canonicalize``: a deterministic member of the word's planar-isotopy
+commutation class, so words that share it share a value.  The public
+``canonicalize`` repeats the descent to a fixed point, which merges a few
+more words but costs a confirming pass that a key does not need.
 """
 
 from __future__ import annotations
@@ -117,21 +120,27 @@ def _front_candidates(letters: tuple[Letter, ...]) -> set[tuple[Letter, tuple[Le
     rewrites of the leading pair, which can rename the front letter in place.
     """
     out: set[tuple[Letter, tuple[Letter, ...]]] = set()
-    n = len(letters)
-    for i in range(n):
-        # state: (next prefix index to pass, moving letter, transformed prefix)
-        stack: list[tuple[int, Letter, tuple[Letter, ...]]] = [(i - 1, letters[i], ())]
-        seen = set()
-        while stack:
-            j, moving, passed = stack.pop()
-            if j < 0:
-                out.add((moving, passed + letters[i + 1:]))
+    for i in range(len(letters)):
+        # one depth-first walk per moving letter; ``passed`` holds the letters
+        # it has moved past, nearest first, and is cut back on each branch
+        passed: list[Letter] = []
+        branches: list[tuple[int, Letter, Letter]] = []
+        j, moving = i, letters[i]
+        while True:
+            forms = swap_adjacent_all(letters[j - 1], moving) if j else None
+            if forms:
+                branches.extend((j - 1, *alt) for alt in forms[1:])
+                moving, transformed = forms[0]
+                passed.append(transformed)
+                j -= 1
                 continue
-            for new_moving, transformed in swap_adjacent_all(letters[j], moving):
-                state = (j - 1, new_moving, (transformed,) + passed)
-                if state not in seen:
-                    seen.add(state)
-                    stack.append(state)
+            if j == 0:
+                out.add((moving, tuple(reversed(passed)) + letters[i + 1:]))
+            if not branches:
+                break
+            j, moving, transformed = branches.pop()
+            del passed[i - j - 1:]
+            passed.append(transformed)
     # close under leading-pair rewrites (they rename the front letter)
     worklist = list(out)
     while worklist:
@@ -152,11 +161,8 @@ class _Canonicalizer:
         self.budget = budget
 
     def canonicalize(self, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-        while True:
-            improved = self._minimize(letters)
-            if improved == letters:
-                return letters
-            letters = improved
+        """One descent: a deterministic member of the commutation class."""
+        return self._minimize(letters)
 
     def _minimize(self, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
         if not letters:
@@ -166,7 +172,6 @@ class _Canonicalizer:
             return cached
         if self.budget is not None:
             self.budget.spend()
-        self.memo[letters] = letters  # guards accidental cycles
         candidates = _front_candidates(letters)
         best_front_key = min(_letter_key(front) for front, _ in candidates)
         best: tuple[Letter, ...] | None = None
@@ -187,17 +192,25 @@ def canonicalize(word: FrontWord) -> FrontWord:
     Lexicographically minimal word (crossings sort before left cusps before
     right cusps, ties by index) reachable by repeatedly extracting a least
     possible first letter, where extraction explores every commutation path
-    and is closed under rewrites of the leading pair.  Idempotent and value
-    preserving; both sides of every commutation relation, instantiated with
-    any in-bounds indices, share their canonical form.
+    and is closed under rewrites of the leading pair.  The descent is
+    repeated until the word stops changing, so the form is idempotent.  It
+    preserves the value, and both sides of every commutation relation,
+    instantiated with any in-bounds indices, share it.  The memo key of
+    ``evaluate_B`` is a single descent, which need not be this fixed point.
 
-    The descent is not a complete class invariant: words containing freely
+    The form is not a complete class invariant: words containing freely
     floating split pieces can reach the lexicographic minimum only through
     lexicographically larger intermediates, so one planar-isotopy class may
     occasionally split across several representatives.  Used as a
     memoization key this costs duplicate entries, never wrong values.
     """
-    return FrontWord(_Canonicalizer().canonicalize(word.letters))
+    canon = _Canonicalizer()
+    letters = word.letters
+    while True:
+        improved = canon.canonicalize(letters)
+        if improved == letters:
+            return FrontWord(letters)
+        letters = improved
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -223,6 +224,25 @@ def test_memo_key_built_only_for_machine_words(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "text,descent,fixed_point",
+    [
+        # the shortest machine word whose one descent is not a fixed point
+        ("l1 l2 l3 r1 r1 r1", "l1 l2 l1 r1 r1 r1", "l1 l1 l2 r1 r1 r1"),
+        # and one with a crossing
+        ("l1 l1 r3 l1 x2 r1 r1", "l1 l1 x2 l3 r1 r1 r1", "l1 l1 x2 l1 r1 r1 r1"),
+    ],
+)
+def test_memo_key_is_one_descent(text, descent, fixed_point):
+    # any deterministic member of the commutation class is a sound key, so
+    # the evaluator keys on one descent; the public form is the fixed point
+    ev = _Evaluator(True, None)
+    ev.eval(parse_front(text).letters)
+    assert parse_front(descent).letters in ev.memo
+    assert parse_front(fixed_point).letters not in ev.memo
+    assert canonicalize(parse_front(text)) == parse_front(fixed_point)
+
+
 def test_memo_key_merges_pinned_machine_runs():
     # Machine runs are memo misses, so they move when the canonical key
     # merges words differently; a faster key must keep them.
@@ -238,6 +258,30 @@ def test_memo_key_merges_pinned_machine_runs():
         ("l1 l2 l3 l4 x1 x2 x3 x1 x2 x3 x1 x2 x3 x1 x2 x3 r4 r3 r2 r1", 182),
     ]:
         assert runs(parse_front(text)) == expected, text
+
+
+def test_matches_ruling_polynomial_on_three_run_braid_closures():
+    # Theorem 3.1 with the memo on, past the census: every closure
+    # l1 .. lk s_g1^a s_g2^b s_g3^c rk .. r1 on 3 and 4 strands with
+    # g1 != g2 != g3, each exponent 2..4 and 10..12 crossings (16..20 letters)
+    checked = 0
+    for k in (3, 4):
+        for g1, g2, g3 in itertools.product(range(1, k), repeat=3):
+            if g1 == g2 or g2 == g3:
+                continue
+            for a, b, c in itertools.product(range(2, 5), repeat=3):
+                if not 10 <= a + b + c <= 12:
+                    continue
+                gens = [g1] * a + [g2] * b + [g3] * c
+                text = " ".join(
+                    [f"l{i}" for i in range(1, k + 1)]
+                    + [f"x{g}" for g in gens]
+                    + [f"r{i}" for i in range(k, 0, -1)]
+                )
+                w = parse_front(text)
+                assert evaluate_B(w) == ruling_polynomial(w), text
+                checked += 1
+    assert checked == 140
 
 
 @pytest.mark.parametrize(
@@ -305,7 +349,7 @@ def test_census_traces_are_pinned():
         fired |= {e["rule"] for e in trace}
         digest.update(json.dumps([word.render(), str(value), trace], sort_keys=True).encode())
     assert len(RULES) == 23 and fired == RULES | {"start"}
-    assert digest.hexdigest() == "00892bba8bfeeb65f602ad6e43a5c84792625ee67b446734ebd5f50840ec939a"
+    assert digest.hexdigest() == "3517c4de7486078251cc8cbcd55bd84c6579571224e280de460ec3b6a2721d4a"
 
 
 def test_trace_measure_monotone():
@@ -336,8 +380,8 @@ def test_trace_measure_monotone():
 
 def test_fuel_budget_is_generous(monkeypatch):
     # the default budget must be at least 100x what desk-scale fronts need:
-    # twist(37) needs 6 882 steps (740 machine steps, 6 142 memo-key misses),
-    # the 4-strand closure 1 945, the corpus <= 131
+    # twist(37) needs 6 881 steps (740 machine steps, 6 141 memo-key misses),
+    # the 4-strand closure 1 608, the corpus <= 115
     monkeypatch.setattr(legskein, "_DEFAULT_FUEL", legskein._DEFAULT_FUEL // 100)
     for name, word in corpus_words():
         evaluate_B(word)
