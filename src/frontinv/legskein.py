@@ -63,11 +63,9 @@ empty word (value z, which makes the split rule and the unknot value
 consistent), then a zero pattern, then an eye l_m r_m (removed with a
 factor z^-1).  Only a word that none of them decides gets a memo key and,
 on a miss, a machine run.  So a chain of eyes costs one lookup per factor,
-and the memo holds only words the machine runs on.  The key is one descent
-of ``canonicalize``: a deterministic member of the word's planar-isotopy
-commutation class, so words that share it share a value.  The public
-``canonicalize`` repeats the descent to a fixed point, which merges a few
-more words but costs a confirming pass that a key does not need.
+and the memo holds only words the machine runs on.  The key, built by
+``canonicalize``, is one descent to a deterministic member of the word's
+planar-isotopy commutation class, so words that share it share a value.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ _DEFAULT_FUEL = 1_000_000  # machine steps and memo-key misses per evaluate_B ca
 
 
 # ---------------------------------------------------------------------------
-# Canonical form for planar-isotopy commutation classes
+# Memo keys: one descent in the planar-isotopy commutation class
 
 
 def _letter_key(letter: Letter) -> tuple[int, int]:
@@ -155,62 +153,40 @@ def _front_candidates(letters: tuple[Letter, ...]) -> set[tuple[Letter, tuple[Le
     return out
 
 
-class _Canonicalizer:
-    def __init__(self, budget: _Budget | None = None):
-        self.memo: dict[tuple[Letter, ...], tuple[Letter, ...]] = {}
-        self.budget = budget
+def canonicalize(letters: Letters, budget: _Budget) -> Letters:
+    """The memo key of a word: one descent in its commutation class.
 
-    def canonicalize(self, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-        """One descent: a deterministic member of the commutation class."""
-        return self._minimize(letters)
-
-    def _minimize(self, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-        if not letters:
-            return letters
-        cached = self.memo.get(letters)
-        if cached is not None:
-            return cached
-        if self.budget is not None:
-            self.budget.spend()
-        candidates = _front_candidates(letters)
-        best_front_key = min(_letter_key(front) for front, _ in candidates)
-        best: tuple[Letter, ...] | None = None
-        for front, rest in candidates:
-            if _letter_key(front) != best_front_key:
-                continue
-            full = (front,) + self._minimize(rest)
-            if best is None or _word_key(full) < _word_key(best):
-                best = full
-        assert best is not None
-        self.memo[letters] = best
-        return best
-
-
-def canonicalize(word: FrontWord) -> FrontWord:
-    """Deterministic representative of the commutation class.
-
-    Lexicographically minimal word (crossings sort before left cusps before
-    right cusps, ties by index) reachable by repeatedly extracting a least
-    possible first letter, where extraction explores every commutation path
-    and is closed under rewrites of the leading pair.  The descent is
-    repeated until the word stops changing, so the form is idempotent.  It
-    preserves the value, and both sides of every commutation relation,
-    instantiated with any in-bounds indices, share it.  The memo key of
-    ``evaluate_B`` is a single descent, which need not be this fixed point.
-
-    The form is not a complete class invariant: words containing freely
-    floating split pieces can reach the lexicographic minimum only through
-    lexicographically larger intermediates, so one planar-isotopy class may
-    occasionally split across several representatives.  Used as a
-    memoization key this costs duplicate entries, never wrong values.
+    Takes a least possible first letter (crossings before left cusps before
+    right cusps, ties by index) over every commutation path, closed under
+    rewrites of the leading pair, then keeps the lexicographically least
+    word over the descents of the remainders.  Each word minimized afresh
+    spends one step of ``budget``.  The key has the word's value, but one
+    class may split across several keys: a descent need not reach a fixed
+    point, and floating split pieces may reach the lexicographic minimum
+    only through larger intermediates.  That costs memo entries, never
+    wrong values.
     """
-    canon = _Canonicalizer()
-    letters = word.letters
-    while True:
-        improved = canon.canonicalize(letters)
-        if improved == letters:
-            return FrontWord(letters)
-        letters = improved
+    return _minimize(letters, {}, budget)
+
+
+def _minimize(letters: Letters, memo: dict[Letters, Letters], budget: _Budget) -> Letters:
+    if not letters:
+        return letters
+    cached = memo.get(letters)
+    if cached is not None:
+        return cached
+    budget.spend()
+    candidates = _front_candidates(letters)
+    best_front_key = min(_letter_key(front) for front, _ in candidates)
+    best = None
+    for front, rest in candidates:
+        if _letter_key(front) != best_front_key:
+            continue
+        full = (front,) + _minimize(rest, memo, budget)
+        if best is None or _word_key(full) < _word_key(best):
+            best = full
+    memo[letters] = best
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +242,9 @@ class _Budget:
         self.remaining -= 1
         self.spent += 1
 
+
+# A step's return when the run goes on.
+_GO_ON = object()
 
 # The words that name side d in rule names: beyond run d, run d, its end.
 _SIDE_WORDS = {-1: ("below", "run1", "lo"), +1: ("above", "run2", "hi")}
@@ -344,7 +323,8 @@ class _Machine:
             self.n[d] -= 1
             self.n[-d] += 1
 
-    # -- the dispatch loop; returns ("zero",) or ("recurse", coeff, letters)
+    # -- the dispatch loop; returns None for a zero, or (coeff, letters) when
+    #    the value is the sides plus coeff * value(letters)
 
     def run(self):
         while True:
@@ -367,7 +347,7 @@ class _Machine:
             k = (head.index - self.m) * d
             step = self._crossing if head.kind == "x" else self._right_cusp
             result = step(head.index, d, k)
-            if result is not None:
+            if result is not _GO_ON:
                 return result
 
     def _crossing(self, i: int, d: int, k: int):
@@ -376,7 +356,7 @@ class _Machine:
         if k == 0:
             if n == 0:
                 self._log("case1.zero-lx", terminal=True)
-                return ("zero",)
+                return None
             self.Y.pop(0)
             self.m += d
             self.n[d] -= 1
@@ -400,7 +380,7 @@ class _Machine:
             self.Y.pop(0)
             self.X.append(X(i - 1 - d))
             self._log(f"case1.absorb-{beyond}")
-        return None
+        return _GO_ON
 
     def _right_cusp(self, i: int, d: int, k: int):
         n = self.n[d]
@@ -409,17 +389,17 @@ class _Machine:
             self.Y.pop(0)
             if n == 0:
                 self._log("case2.split-eye", terminal=True)
-                return ("recurse", LaurentPoly.monomial(-1), tuple(self.X + self.Y))
+                return (LaurentPoly.monomial(-1), tuple(self.X + self.Y))
             rest = [X(c.index - 1 - d) for c in self._run(d)[1:]]
             self._log(f"case2.type1-{end}", terminal=True)
-            return ("recurse", LaurentPoly.one(), tuple(self.X + rest + self.Y))
+            return (LaurentPoly.one(), tuple(self.X + rest + self.Y))
         if k == n:
             self._log("case2.zero-xr", terminal=True)
-            return ("zero",)
+            return None
         if k == n + 1:
             self._skein(d, n)
             self._log(f"case2.skein-zigzag-{end}", terminal=True)
-            return ("zero",)
+            return None
         self.Y.pop(0)
         if k > n + 1:
             self.X.append(R(i - 1 - d))
@@ -427,7 +407,7 @@ class _Machine:
             if d < 0:
                 self.m -= 2
             self._log(f"case2.absorb-{beyond}")
-            return None
+            return _GO_ON
         # x_i x_(i+d) r_i = r_(i+d): run d keeps its first k - 1 crossings and
         # the rest follow r_(i+d) into Y; below the cusp run2 follows too,
         # since r_i had to pass it first
@@ -438,7 +418,7 @@ class _Machine:
         self.Y[0:0] = [R(i + d)] + tail
         self.n[d] = k - 1
         self._log(f"case2.type2-{run}")
-        return None
+        return _GO_ON
 
 
 class _Evaluator:
@@ -466,7 +446,7 @@ class _Evaluator:
             return LaurentPoly.monomial(-1) * self.eval(letters[:eye] + letters[eye + 2:])
         if self.memo is None:
             return self._compute(letters)
-        key = FrontWord(_Canonicalizer(self.budget).canonicalize(letters)).letters
+        key = canonicalize(letters, self.budget)
         if key not in self.memo:
             self.memo[key] = self._compute(key)
         return self.memo[key]
@@ -474,13 +454,13 @@ class _Evaluator:
     def _compute(self, letters: Letters) -> LaurentPoly:
         self.runs += 1
         machine = _Machine(letters, self.budget, self.trace, self.runs)
-        result = machine.run()
+        rest = machine.run()
         total = LaurentPoly.zero()
         for coeff, side in machine.sides:
             total = total + coeff * self.eval(side)
-        if result[0] == "recurse":
-            _, coeff, rest = result
-            total = total + coeff * self.eval(rest)
+        if rest is not None:
+            coeff, remainder = rest
+            total = total + coeff * self.eval(remainder)
         return total
 
 
