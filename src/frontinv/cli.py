@@ -17,6 +17,7 @@ from .check import check_front, front_ok
 from .diagram import from_oriented_front, pd_export, pd_import
 from .errors import BadArgument, FrontError, LimitExceeded
 from .front import (
+    MOVE_RULES,
     FrontWord,
     Move,
     apply_move,
@@ -170,6 +171,8 @@ def cmd_verify(args) -> int:
 def _parse_move(text: str) -> Move:
     parts = text.split(",")
     rule, _, site = parts[0].partition("@")
+    if rule not in MOVE_RULES:
+        raise BadArgument(f"unknown move rule {rule!r}; expected one of {', '.join(MOVE_RULES)}")
     inverse, m = False, None
     given = set()
     for p in parts[1:]:
@@ -185,8 +188,11 @@ def _parse_move(text: str) -> Move:
             inverse = True
         else:
             m = _int_arg(p[2:], "--apply m")
-    if m is not None and not (inverse and rule in ("type1_lo", "type1_hi")):
+    inserts = inverse and rule in ("type1_lo", "type1_hi")
+    if m is not None and not inserts:
         raise BadArgument(f"--apply part 'm={m}' is read only by an inverse type1_lo or type1_hi")
+    if inserts and m is None:
+        raise BadArgument(f"an inverse {rule} inserts a kink and needs the part m=K")
     return Move(rule, _int_arg(site, "--apply SITE"), inverse, m)
 
 

@@ -384,78 +384,64 @@ def invariants(of: OrientedFront) -> FrontInvariants:
 
 
 # ---------------------------------------------------------------------------
-# Planar-isotopy commutations (shared by moves and the rewrite evaluator)
+# Legendrian moves: planar isotopy plus three relations
+#
+# The commutations are one support rule, and the rewrite evaluator reads them
+# too.  Each letter touches a span of strand positions on its input side and
+# on its output side.  Positions are doubled so that a gap is a point: strand
+# k sits at 2k and the gap above it at 2k - 1.  Two adjacent letters commute
+# when the second passes wholly above or wholly below the first.  The letter
+# below keeps its strands, so its index gains the strand change of the one
+# above when it moves right past it and loses it when it moves left.
+
+
+# (input span, output span) of each kind, as offsets from 2 * index
+_SPANS = {"l": ((-1, -1), (0, 2)), "x": ((0, 2), (0, 2)), "r": ((0, 2), (-1, -1))}
 
 
 @lru_cache(maxsize=4096)
 def swap_adjacent_all(first: Letter, second: Letter) -> tuple[tuple[Letter, Letter], ...]:
     """All ways to commute two adjacent letters by planar isotopy.
 
-    Indices shift when a letter slides past a cusp.  The result usually has
-    zero or one entries; an adjacent right cusp followed by a left cusp at
-    the same index commutes two ways (the new cusp may pass above or below
-    the dying pair).
+    The result usually has zero or one entries; an adjacent right cusp
+    followed by a left cusp at the same index (the cusp diamond) commutes two
+    ways, with the new cusp passing above or below the dying pair.
     """
-    a, b = first.index, second.index
-    k1, k2 = first.kind, second.kind
-    out: list[tuple[Letter, Letter]] = []
-    if k1 == "x" and k2 == "x":
-        if abs(a - b) >= 2:
-            out.append((second, first))
-    elif k1 == "l" and k2 == "x":
-        if a >= b + 2:
-            out.append((X(b), first))
-        elif b >= a + 2:
-            out.append((X(b - 2), first))
-    elif k1 == "x" and k2 == "l":
-        if b >= a + 2:
-            out.append((second, first))
-        elif a >= b:
-            out.append((second, X(a + 2)))
-    elif k1 == "x" and k2 == "r":
-        if b >= a + 2:
-            out.append((second, first))
-        elif a >= b + 2:
-            out.append((second, X(a - 2)))
-    elif k1 == "r" and k2 == "x":
-        if a >= b + 2:
-            out.append((X(b), first))
-        elif b >= a:
-            out.append((X(b + 2), first))
-    elif k1 == "l" and k2 == "l":
-        if b >= a + 2:
-            out.append((L(b - 2), first))
-        elif a >= b:
-            out.append((second, L(a + 2)))
-    elif k1 == "r" and k2 == "r":
-        if a >= b + 2:
-            out.append((second, R(a - 2)))
-        elif b >= a:
-            out.append((R(b + 2), first))
-    elif k1 == "r" and k2 == "l":
-        if a >= b:
-            out.append((second, R(a + 2)))
-        if b >= a:
-            out.append((L(b + 2), first))
-    elif k1 == "l" and k2 == "r":
-        if b >= a + 2:
-            out.append((R(b - 2), first))
-        elif a >= b + 2:
-            out.append((second, L(a - 2)))
+    lo1, hi1 = (2 * first.index + d for d in _SPANS[first.kind][1])
+    lo2, hi2 = (2 * second.index + d for d in _SPANS[second.kind][0])
+    diamond = lo1 == hi1 == lo2 == hi2
+    out = []
+    if hi2 < lo1 or diamond:
+        out.append((second, Letter(first.kind, first.index + _LETTER_DELTA[second.kind])))
+    if lo2 > hi1 or diamond:
+        out.append((Letter(second.kind, second.index - _LETTER_DELTA[first.kind]), first))
     return tuple(out)
 
 
-def swap_adjacent(first: Letter, second: Letter) -> tuple[Letter, Letter] | None:
-    """One commuted form of an adjacent pair, or None when the pair is rigid."""
-    forms = swap_adjacent_all(first, second)
-    return forms[0] if forms else None
+# Each relation lhs = rhs, with a letter written as (kind, index - m).
+_RELATIONS = {
+    "type1_lo": ((("l", 0), ("x", -1), ("r", 0)), ()),
+    "type1_hi": ((("l", 0), ("x", 1), ("r", 0)), ()),
+    "type2_lo": ((("l", -1), ("x", 0), ("x", -1)), (("l", 0),)),
+    "type2_hi": ((("l", 1), ("x", 0), ("x", 1)), (("l", 0),)),
+    "type3": ((("x", 1), ("x", 0), ("x", 1)), (("x", 0), ("x", 1), ("x", 0))),
+}
+MOVE_RULES = ("comm", *_RELATIONS)
 
 
-# ---------------------------------------------------------------------------
-# Legendrian moves
+def _match(pattern, letters: tuple[Letter, ...], site: int, m: int | None) -> int | None:
+    """The m at which ``pattern`` reads ``letters`` from ``site``, or None.
 
-
-MOVE_RULES = ("comm", "type1_lo", "type1_hi", "type2_lo", "type2_hi", "type3")
+    An empty pattern matches at any site in the word, with the given ``m``.
+    """
+    if not 0 <= site <= len(letters) - len(pattern):
+        return None
+    if pattern:
+        m = letters[site].index - pattern[0][1]
+    for i, (kind, d) in enumerate(pattern, site):
+        if letters[i].kind != kind or letters[i].index != m + d:
+            return None
+    return m
 
 
 def apply_move(
@@ -466,75 +452,43 @@ def apply_move(
     inverse: bool = False,
     m: int | None = None,
 ) -> FrontWord:
-    """Apply one relation at ``site`` (index into the word).
+    """Apply one move at ``site`` (index into the word).
 
     Rules: ``comm`` (adjacent planar-isotopy commutation), ``type1_lo``
     (l_m x_{m-1} r_m = id), ``type1_hi`` (l_m x_{m+1} r_m = id), ``type2_lo``
     (l_{m-1} x_m x_{m-1} = l_m), ``type2_hi`` (l_{m+1} x_m x_{m+1} = l_m) and
-    ``type3`` (x_{m+1} x_m x_{m+1} = x_m x_{m+1} x_m).  ``inverse`` applies
-    right-to-left; insertion moves (inverse type1, inverse type2) need ``m``.
-    Raises MoveNotApplicable when the pattern is absent at the site.
+    ``type3`` (x_{m+1} x_m x_{m+1} = x_m x_{m+1} x_m, either way).
+    ``inverse`` applies right-to-left; inverse type1 inserts at the given
+    ``m``.  Raises MoveNotApplicable when the pattern is absent at the site.
     """
-    letters = list(word.letters)
+    letters = word.letters
 
     def fail(msg: str):
         raise MoveNotApplicable(f"{rule} at {site}: {msg}")
 
     if rule == "comm":
-        if not 0 <= site < len(letters) - 1:
-            fail("site out of range")
-        swapped = swap_adjacent(letters[site], letters[site + 1])
-        if swapped is None:
-            fail("letters do not commute")
-        letters[site:site + 2] = list(swapped)
-    elif rule in ("type1_lo", "type1_hi"):
-        off = -1 if rule == "type1_lo" else 1
-        if inverse:
-            if m is None:
-                fail("insertion needs m")
-            if not 0 <= site <= len(letters):
-                fail("site out of range")
-            letters[site:site] = [L(m), X(m + off), R(m)]
+        forms = swap_adjacent_all(*letters[site:site + 2]) if 0 <= site < len(letters) - 1 else ()
+        if not forms:
+            fail("no commuting pair")
+        cut, new = 2, forms[0]
+    elif rule in _RELATIONS:
+        lhs, rhs = _RELATIONS[rule]
+        if rule == "type3":
+            sides = ((lhs, rhs), (rhs, lhs))
         else:
-            pat = letters[site:site + 3]
-            if len(pat) != 3:
-                fail("site out of range")
-            lm, xm, rm = pat
-            if not (lm.kind == "l" and xm.kind == "x" and rm.kind == "r"
-                    and rm.index == lm.index and xm.index == lm.index + off):
-                fail("pattern absent")
-            del letters[site:site + 3]
-    elif rule in ("type2_lo", "type2_hi"):
-        off = -1 if rule == "type2_lo" else 1
-        if inverse:
-            pat = letters[site:site + 1]
-            if len(pat) != 1 or pat[0].kind != "l":
-                fail("pattern absent")
-            mm = pat[0].index
-            letters[site:site + 1] = [L(mm + off), X(mm), X(mm + off)]
+            sides = ((rhs, lhs),) if inverse else ((lhs, rhs),)
+        for old, new in sides:
+            at = _match(old, letters, site, m)
+            if at is not None:
+                break
         else:
-            pat = letters[site:site + 3]
-            if len(pat) != 3:
-                fail("site out of range")
-            la, xb, xc = pat
-            if not (la.kind == "l" and xb.kind == "x" and xc.kind == "x"
-                    and la.index == xc.index and xb.index == la.index - off):
-                fail("pattern absent")
-            letters[site:site + 3] = [L(xb.index)]
-    elif rule == "type3":
-        pat = letters[site:site + 3]
-        if len(pat) != 3:
-            fail("site out of range")
-        xa, xb, xc = pat
-        if not (xa.kind == xb.kind == xc.kind == "x"
-                and xa.index == xc.index and abs(xa.index - xb.index) == 1):
-            fail("pattern absent")
-        letters[site:site + 3] = [X(xb.index), X(xa.index), X(xb.index)]
+            fail("pattern absent" if old or m is not None else "insertion needs m")
+        cut, new = len(old), tuple([Letter(kind, at + d) for kind, d in new])
     else:
         fail(f"unknown rule {rule!r}")
 
     try:
-        return FrontWord(tuple(letters))
+        return FrontWord(letters[:site] + new + letters[site + cut:])
     except FrontError as exc:
         raise MoveNotApplicable(f"{rule} at {site}: result invalid ({exc})") from exc
 
@@ -554,41 +508,35 @@ class Move(NamedTuple):
         return s
 
 
+def _applies(word: FrontWord, rule: str, site: int, inverse: bool = False) -> bool:
+    try:
+        apply_move(word, rule, site, inverse=inverse)
+    except MoveNotApplicable:
+        return False
+    return True
+
+
 def applicable_moves(word: FrontWord) -> list[Move]:
     """Enumerate applicable moves in deterministic order (test/driver use)."""
-    out: list[Move] = []
-    counts = strand_counts(word.letters)
-    for site in range(len(word.letters) - 1):
-        if swap_adjacent(word.letters[site], word.letters[site + 1]) is not None:
-            out.append(Move("comm", site))
-    for rule in ("type1_lo", "type1_hi", "type2_lo", "type2_hi", "type3"):
-        for site in range(len(word.letters)):
-            try:
-                apply_move(word, rule, site)
-            except FrontError:
-                pass
-            else:
-                out.append(Move(rule, site))
-    for site in range(len(word.letters)):
-        try:
-            apply_move(word, "type2_lo", site, inverse=True)
-        except FrontError:
-            pass
-        else:
-            out.append(Move("type2_lo", site, inverse=True))
-        try:
-            apply_move(word, "type2_hi", site, inverse=True)
-        except FrontError:
-            pass
-        else:
-            out.append(Move("type2_hi", site, inverse=True))
-    for site in range(len(word.letters) + 1):
-        n = counts[site]
-        for mm in range(2, n + 2):
-            out.append(Move("type1_lo", site, inverse=True, m=mm))
-        for mm in range(1, n + 1):
-            out.append(Move("type1_hi", site, inverse=True, m=mm))
-    return out
+    letters = word.letters
+    sites = range(len(letters))
+    return (
+        [Move("comm", s) for s in sites[:-1] if swap_adjacent_all(letters[s], letters[s + 1])]
+        + [Move(rule, s) for rule in _RELATIONS for s in sites if _applies(word, rule, s)]
+        + [
+            Move(rule, s, True)
+            for s in sites
+            for rule in ("type2_lo", "type2_hi")
+            if _applies(word, rule, s, True)
+        ]
+        # every inverse type1 with m in range inserts a valid kink
+        + [
+            Move(rule, s, True, mm)
+            for s, k in enumerate(strand_counts(letters))
+            for rule, lo in (("type1_lo", 2), ("type1_hi", 1))
+            for mm in range(lo, k + lo)
+        ]
+    )
 
 
 def random_move_sequence(word: FrontWord, n_moves: int, seed: int) -> tuple[FrontWord, list[Move]]:

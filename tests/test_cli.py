@@ -346,6 +346,9 @@ TREFOIL = str(CORPUS / "trefoil.front")
         ("moves", TREFOIL, "--apply", "comm@0,inverse"),
         ("moves", TREFOIL, "--apply", "comm@0,m=5"),
         ("moves", TREFOIL, "--apply", "type1_hi@1,inverse,m=1,m=2"),
+        # an unknown rule, and an inserted kink with no m
+        ("moves", TREFOIL, "--apply", "typ3@2"),
+        ("moves", TREFOIL, "--apply", "type1_hi@1,inverse"),
     ],
 )
 def test_bad_arguments_end_in_one_coded_line(capsys, args):

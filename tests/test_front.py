@@ -19,6 +19,7 @@ from frontinv.front import (
     RIGHT,
     FrontWord,
     L,
+    Letter,
     R,
     X,
     all_orientations,
@@ -33,7 +34,6 @@ from frontinv.front import (
     random_move_sequence,
     stabilize,
     strand_counts,
-    swap_adjacent,
     swap_adjacent_all,
 )
 from frontinv.rulings import ruling_polynomial
@@ -301,6 +301,14 @@ def test_move_not_applicable():
         apply_move(w, "type3", 0)
     with pytest.raises(MoveNotApplicable):
         apply_move(w, "comm", 0)
+    # a negative site is out of range, not counted from the end of the word
+    kinked = parse_front("l1 l1 x2 r1 r1")
+    assert apply_move(kinked, "type1_hi", 1).render() == "l1 r1"
+    for site, inverse in ((-4, False), (-3, True)):
+        with pytest.raises(MoveNotApplicable):
+            apply_move(kinked, "type1_hi", site, inverse=inverse, m=1)
+    with pytest.raises(MoveNotApplicable):
+        apply_move(parse_front("l1 l1 r1 r1"), "type2_hi", -3, inverse=True)
 
 
 def test_swap_adjacent_round_trip_stays_in_class():
@@ -321,10 +329,52 @@ def test_swap_adjacent_round_trip_stays_in_class():
     for w in random_fronts(seed=23, count=60):
         for i in range(len(w.letters) - 1):
             pair = (w.letters[i], w.letters[i + 1])
-            swapped = swap_adjacent(*pair)
-            if swapped is not None:
-                back = swap_adjacent(*swapped)
+            forms = swap_adjacent_all(*pair)
+            if forms:
+                back = swap_adjacent_all(*forms[0])[0]
                 assert back in closure(pair)
+
+
+# The three digests below pin what the moves do, so a change to the
+# commutation rule or the relation table shows here.
+
+
+def test_commutations_are_pinned():
+    # every ordered pair of letters with indices 1..12
+    letters = [Letter(k, i) for k in "lxr" for i in range(1, 13)]
+    h = hashlib.sha256()
+    for a in letters:
+        for b in letters:
+            forms = " | ".join(f"{p} {q}" for p, q in swap_adjacent_all(a, b))
+            h.update(f"{a} {b}: {forms}\n".encode())
+    assert h.hexdigest() == "571b81eaaa53991e56ec89454e4cbb904650ebe9f6d49d68ed379172758569dd"
+
+
+def test_applicable_moves_are_pinned():
+    h = hashlib.sha256()
+    for w in closed_words(7, 4):
+        h.update(f"{w.render()}: {' '.join(mv.as_str() for mv in applicable_moves(w))}\n".encode())
+    assert h.hexdigest() == "3930c05ad8cb4c8abf4457feaef873067d50d588522b611459153ae4f5ad2139"
+
+
+def test_apply_move_outcomes_are_pinned():
+    # every rule and an unknown one, at sites -1 to len + 1, forward and
+    # inverse, with and without m; "-" marks MoveNotApplicable
+    h = hashlib.sha256()
+    calls = 0
+    for w in closed_words(6, 4):
+        for rule in ("comm", "type1_lo", "type1_hi", "type2_lo", "type2_hi", "type3", "typo"):
+            for site in range(-1, len(w.letters) + 2):
+                for inverse in (False, True):
+                    for m in (None, 1, 2, 3):
+                        try:
+                            out = apply_move(w, rule, site, inverse=inverse, m=m).render()
+                        except MoveNotApplicable:
+                            out = "-"
+                        h.update(f"{w.render()} {rule} {site} {inverse} {m}: {out}\n".encode())
+                        calls += 1
+    assert calls == 160496
+    assert h.hexdigest() == "ed0c3740bcaab80f55a40d0c555f42b969b7200b7610210f754508ea5b4cec33"
 
 
 def test_moves_preserve_strand_closure_and_beta():

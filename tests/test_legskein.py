@@ -11,7 +11,7 @@ import pytest
 from conftest import closed_words, corpus_words, random_fronts, recursion_headroom
 
 from frontinv.errors import FuelExhausted
-from frontinv.front import FrontWord, L, Letter, R, X, parse_front
+from frontinv.front import FrontWord, L, Letter, R, X, parse_front, swap_adjacent_all
 from frontinv import legskein
 from frontinv.legskein import _Budget, _Evaluator, _Machine, _scan_eye, _scan_zero, canonicalize, evaluate_B
 from frontinv.poly import LaurentPoly, parse_poly1
@@ -39,9 +39,8 @@ def _closed_instance(side: list[Letter], n_before: int) -> FrontWord:
     return FrontWord(tuple(letters))
 
 
-def _relation_instances(rng: random.Random):
-    """Random in-bounds instantiations of the listed commutation families."""
-    n = rng.choice([2, 4, 6])
+def _relation_instances(n: int):
+    """The in-bounds instances on n strands of the listed commutation families."""
     out = []
     for a in range(1, n):
         for b in range(1, n):
@@ -75,17 +74,29 @@ def _relation_instances(rng: random.Random):
     return out
 
 
+def test_listed_commutations_follow_the_support_rule():
+    # each listed family, on odd strand counts too, is one commutation of
+    # swap_adjacent_all read either way
+    checked = 0
+    for n in range(2, 8):
+        for _, lhs, rhs in _relation_instances(n):
+            assert tuple(rhs) in swap_adjacent_all(*lhs), (n, lhs, rhs)
+            assert tuple(lhs) in swap_adjacent_all(*rhs), (n, lhs, rhs)
+            checked += 1
+    assert checked == 419
+
+
 def test_canonicalize_identifies_listed_commutations():
-    # both sides of every commutation family, random in-bounds instantiations
-    # (n is drawn from 2, 4, 6, so instances repeat and their keys are
-    # cached); one descent need not reach a fixed point, so a few r l -> l r
-    # instances keep two keys, and this pins which merge
+    # both sides of every commutation family on n strands, n drawn from 2, 4
+    # and 6 (so instances repeat and their keys are cached); one descent need
+    # not reach a fixed point, so a few r l -> l r instances keep two keys,
+    # and this pins which merge
     key = lru_cache(maxsize=None)(_key)
     rng = random.Random(59)
     checked = 0
     split = []
     for _ in range(40):
-        for n, lhs, rhs in _relation_instances(rng):
+        for n, lhs, rhs in _relation_instances(rng.choice([2, 4, 6])):
             w1 = _closed_instance(lhs, n)
             w2 = _closed_instance(rhs, n)
             if key(w1) != key(w2):
