@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: validate, invariants, rulings, poly, verify, moves, stabilize,
-pd.  Output is deterministic byte-for-byte for fixed inputs, flags and seed;
+Subcommands: validate, invariants, rulings, poly, verify, moves, stabilize.
+Output is deterministic byte-for-byte for fixed inputs, flags and seed;
 timing fields are only emitted under ``--timings``.
 """
 
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .check import check_front, front_ok
-from .diagram import from_oriented_front, pd_export, pd_import
+from .diagram import from_oriented_front
 from .errors import BadArgument, FrontError, LimitExceeded
 from .front import (
     MOVE_RULES,
@@ -53,25 +53,30 @@ def _int_arg(text: str, what: str) -> int:
         raise BadArgument(f"{what} must be an integer, got {text!r}") from None
 
 
-def _free_loops(word: FrontWord) -> int:
-    """Components of the front that meet no crossing."""
-    comp = components(word)
-    crossed = {comp.comp_of[s] for _, pair in occupancy(word).crossing_pairs for s in pair}
-    return comp.n_components - len(crossed)
+def _read_front(path: str | Path) -> tuple[FrontWord, dict[int, bool]]:
+    """Parse a ``.front`` file, read as UTF-8 whatever the locale."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_front_file(text)
 
 
-def _check_cap(n_crossings: int, free_loops: int, force: bool) -> None:
+def _check_cap(word: FrontWord, force: bool) -> None:
     # The skein routes multiply in a loop factor per crossingless loop, so
     # loops count toward the cap as crossings do.
-    if n_crossings + free_loops > CROSSING_CAP and not force:
+    comp = components(word)
+    crossed = {comp.comp_of[s] for _, pair in occupancy(word).crossing_pairs for s in pair}
+    free_loops = comp.n_components - len(crossed)
+    if word.num_crossings + free_loops > CROSSING_CAP and not force:
         raise LimitExceeded(
-            f"input has {n_crossings} crossings and {free_loops} crossingless loops"
+            f"input has {word.num_crossings} crossings and {free_loops} crossingless loops"
             f" (cap {CROSSING_CAP} in all); rerun with --force"
         )
 
 
 def cmd_validate(args) -> int:
-    word, flags = parse_front_file(Path(args.path).read_text())
+    word, flags = _read_front(args.path)
     _emit(
         {
             "ok": True,
@@ -86,13 +91,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    word, flags = parse_front_file(Path(args.path).read_text())
+    word, flags = _read_front(args.path)
     _emit(invariants(orient(word, flags))._asdict())
     return 0
 
 
 def cmd_rulings(args) -> int:
-    word, flags = parse_front_file(Path(args.path).read_text())
+    word, flags = _read_front(args.path)
     of = orient(word, flags) if args.oriented else None
     poly = ruling_polynomial(word) if of is None else oriented_ruling_polynomial(of)
     out = {
@@ -113,18 +118,10 @@ def cmd_rulings(args) -> int:
 def cmd_poly(args) -> int:
     if args.trace and args.which != "B-leg":
         raise BadArgument(f"--trace needs --which B-leg, not {args.which}")
-    if args.path.endswith(".pd"):
-        if args.which not in ("kauffman", "homfly"):
-            raise BadArgument(f"--which {args.which} needs a .front input")
-        d = pd_import(Path(args.path).read_text())
-        _check_cap(d.n_crossings, d.free_loops, args.force)
-        value = kauffman_D(d) if args.which == "kauffman" else homfly_H(d)
-        _emit({args.which: str(value)})
-        return 0
-    word, flags = parse_front_file(Path(args.path).read_text())
+    word, flags = _read_front(args.path)
     if args.which not in ("ruling", "oruling"):
         # The cap is for the skein routes; the ruling sweep builds no tree.
-        _check_cap(word.num_crossings, _free_loops(word), args.force)
+        _check_cap(word, args.force)
     of = orient(word, flags)
     if args.which == "ruling":
         out = str(ruling_polynomial(word))
@@ -157,8 +154,8 @@ def cmd_verify(args) -> int:
     report = {"schema": 1, "theorem": args.theorem, "fronts": {}}
     all_ok = True
     for path in paths:
-        word, flags = parse_front_file(path.read_text())
-        _check_cap(word.num_crossings, _free_loops(word), args.force)
+        word, flags = _read_front(path)
+        _check_cap(word, args.force)
         record = check_front(word, flags, timings=args.timings)
         record["ok"] = front_ok(record, args.theorem)
         all_ok = all_ok and record["ok"]
@@ -197,7 +194,7 @@ def _parse_move(text: str) -> Move:
 
 
 def cmd_moves(args) -> int:
-    word, _ = parse_front_file(Path(args.path).read_text())
+    word, _ = _read_front(args.path)
     if args.apply:
         mv = _parse_move(args.apply)
         word = apply_move(word, mv.rule, mv.site, inverse=mv.inverse, m=mv.m)
@@ -214,16 +211,10 @@ def cmd_moves(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
-    word, _ = parse_front_file(Path(args.path).read_text())
+    word, _ = _read_front(args.path)
     gap, _, pos = args.site.partition(":")
     word = stabilize(word, _int_arg(gap, "--site GAP"), _int_arg(pos, "--site POS"), args.flavor)
     _emit({"front": word.render()})
-    return 0
-
-
-def cmd_pd(args) -> int:
-    word, flags = parse_front_file(Path(args.path).read_text())
-    sys.stdout.write(pd_export(from_oriented_front(orient(word, flags))))
     return 0
 
 
@@ -280,10 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--site", required=True, help="GAP:POS")
     p.add_argument("--flavor", default="down", choices=["up", "down"])
     p.set_defaults(func=cmd_stabilize)
-
-    p = sub.add_parser("pd", help="export the PD code of Top(K)")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_pd)
 
     return ap
 

@@ -20,10 +20,8 @@ below.
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple
 
-from .errors import ParseError
 from .front import RIGHT, OrientedFront, occupancy
 
 
@@ -261,145 +259,3 @@ def traverse(d: PlanarDiagram, use_flow: bool) -> tuple[int | None, int, int]:
                 break
         k += 1
     return None, exponent, k
-
-
-# ---------------------------------------------------------------------------
-# PD-code text format: one `X[i,j,k,l]` line per crossing (arc labels listed
-# counterclockwise from the incoming under-strand) and one `O<n>` line per
-# crossingless loop.
-
-_X_RE = re.compile(r"^X\[(\d+),(\d+),(\d+),(\d+)\]$")
-_O_RE = re.compile(r"^O(\d+)$")
-
-
-def pd_export(d: PlanarDiagram) -> str:
-    # Walk components from intrinsic basepoints (under-strand entry ports in
-    # crossing order, then over-strand entries), so the arc labels do not
-    # depend on the internal port numbering and re-export is stable.
-    starts = sorted(
-        (p for p in d.flow_in if d.is_under_port(p))
-    ) + sorted(p for p in d.flow_in if not d.is_under_port(p))
-    visited: set[int] = set()
-    arc_at: dict[int, int] = {}
-    label = 0
-    for start in starts:
-        if start in visited:
-            continue
-        p = start
-        while True:
-            visited.add(p)
-            label += 1
-            arc_at[p ^ 2] = label
-            p = d.nbr[p ^ 2]
-            arc_at[p] = label
-            if p == start:
-                break
-    lines = []
-    for c in range(d.n_crossings):
-        q = d.view(c)
-        start = q[0] if 4 * c + q[0] in d.flow_in else q[2]
-        ports = [4 * c + (start + k) % 4 for k in range(4)]
-        lines.append("X[" + ",".join(str(arc_at[p]) for p in ports) + "]")
-    for k in range(d.free_loops):
-        lines.append(f"O{k + 1}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _check_planar(nbr: list[int]) -> None:
-    """Raise NOT_PLANAR unless the ports can be drawn in the plane.
-
-    A face is a cycle of ``p -> nbr[next port counterclockwise]``.  By
-    Euler's formula, n crossings in k connected pieces drawn in the plane
-    bound exactly n + 2k faces; any other gluing of the ports has fewer.
-    """
-    n = len(nbr) // 4
-    faces = 0
-    seen = [False] * (4 * n)
-    for start in range(4 * n):
-        if not seen[start]:
-            faces += 1
-            p = start
-            while not seen[p]:
-                seen[p] = True
-                p = nbr[(p & ~3) | ((p + 1) & 3)]
-    pieces = 0
-    reached = [False] * n
-    for start in range(n):
-        if not reached[start]:
-            pieces += 1
-            reached[start] = True
-            stack = [start]
-            while stack:
-                c = stack.pop()
-                for p in range(4 * c, 4 * c + 4):
-                    c2 = nbr[p] >> 2
-                    if not reached[c2]:
-                        reached[c2] = True
-                        stack.append(c2)
-    if faces != n + 2 * pieces:
-        raise ParseError(
-            "NOT_PLANAR",
-            f"{n} crossings in {pieces} pieces bound {faces} faces, not {n + 2 * pieces}",
-        )
-
-
-def pd_import(text: str) -> PlanarDiagram:
-    """Rebuild a diagram from PD text.
-
-    Arc orientations are recovered from the incoming-under convention and
-    propagated; a component that is everywhere the overstrand has a free
-    direction, fixed canonically (its smallest port becomes an entry port).
-    """
-    crossings: list[tuple[int, int, int, int]] = []
-    free_loops = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        m = _X_RE.match(s)
-        if m:
-            crossings.append(tuple(int(g) for g in m.groups()))
-            continue
-        if _O_RE.match(s):
-            free_loops += 1
-            continue
-        raise ParseError("UNKNOWN_TOKEN", f"bad PD line {s!r}", line=lineno, col=1)
-    if not crossings and not free_loops:
-        raise ParseError("NOT_CLOSED", "empty PD code")
-
-    ends: dict[int, list[int]] = {}
-    for c, labels in enumerate(crossings):
-        for i, lab in enumerate(labels):
-            ends.setdefault(lab, []).append(4 * c + i)
-    n = len(crossings)
-    nbr = [0] * (4 * n)
-    for lab, ports in ends.items():
-        if len(ports) != 2:
-            raise ParseError("UNKNOWN_TOKEN", f"arc label {lab} appears {len(ports)} times")
-        nbr[ports[0]] = ports[1]
-        nbr[ports[1]] = ports[0]
-    _check_planar(nbr)
-
-    flow: dict[int, int] = {}  # +1 in, -1 out
-
-    def set_flow(port: int, value: int) -> None:
-        stack = [(port, value)]
-        while stack:
-            p, v = stack.pop()
-            if p in flow:
-                if flow[p] != v:
-                    raise ParseError("UNKNOWN_TOKEN", "inconsistent PD orientations")
-                continue
-            flow[p] = v
-            stack.append((nbr[p], -v))
-            stack.append((p ^ 2, -v))
-
-    for c in range(n):
-        set_flow(4 * c, 1)
-    for c in range(n):
-        for i in (1, 3):
-            if 4 * c + i not in flow:
-                set_flow(4 * c + i, 1)
-
-    flow_in = frozenset(p for p, v in flow.items() if v == 1)
-    return PlanarDiagram(tuple(nbr), (True,) * n, flow_in, free_loops)

@@ -21,7 +21,7 @@ class FrontError(Exception):
 
 
 class ParseError(FrontError):
-    """Raised for UNKNOWN_TOKEN / INDEX_OUT_OF_RANGE / NOT_CLOSED / NOT_PLANAR."""
+    """Raised for UNKNOWN_TOKEN / INDEX_OUT_OF_RANGE / NOT_CLOSED."""
 
     def __init__(self, code: str, message: str, *, line: int | None = None, col: int | None = None):
         self.code = code

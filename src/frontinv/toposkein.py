@@ -62,9 +62,9 @@ _DELTA_D = _DELTA_H + LaurentPoly.one()   # (a - a^-1) / z + 1
 
 
 class _SkeinEngine:
-    def __init__(self, homfly: bool, memo: bool):
+    def __init__(self, homfly: bool):
         self.homfly = homfly
-        self.memo: dict | None = {} if memo else None
+        self.memo: dict[PlanarDiagram, LaurentPoly] = {}
         self.delta = _DELTA_H if homfly else _DELTA_D
 
     def eval(self, d: PlanarDiagram) -> LaurentPoly:
@@ -72,13 +72,9 @@ class _SkeinEngine:
             if d.free_loops == 0:
                 raise InternalInconsistency("empty diagram has no polynomial")
             return self.delta ** (d.free_loops - 1)
-        if self.memo is not None:
-            cached = self.memo.get(d)
-            if cached is not None:
-                return cached
-        value = self._compute(d)
-        if self.memo is not None:
-            self.memo[d] = value
+        value = self.memo.get(d)
+        if value is None:
+            value = self.memo[d] = self._compute(d)
         return value
 
     def _compute(self, d: PlanarDiagram) -> LaurentPoly:
@@ -115,16 +111,16 @@ def _run(engine: _SkeinEngine, d: PlanarDiagram) -> LaurentPoly:
         ) from None
 
 
-def kauffman_D(d: PlanarDiagram, *, memo: bool = True) -> LaurentPoly:
+def kauffman_D(d: PlanarDiagram) -> LaurentPoly:
     """Dubrovnik polynomial of a diagram, D(unknot) = 1."""
     # D never reads orientation; without it, diagrams that differ only in arc
     # directions share one memo entry.
-    return _run(_SkeinEngine(False, memo), d._replace(flow_in=frozenset()))
+    return _run(_SkeinEngine(False), d._replace(flow_in=frozenset()))
 
 
-def homfly_H(d: PlanarDiagram, *, memo: bool = True) -> LaurentPoly:
+def homfly_H(d: PlanarDiagram) -> LaurentPoly:
     """Regular-isotopy HOMFLY polynomial of an oriented diagram, H(unknot) = 1."""
-    return _run(_SkeinEngine(True, memo), d)
+    return _run(_SkeinEngine(True), d)
 
 
 def kauffman_F(of: OrientedFront) -> LaurentPoly:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from math import comb
 
 import pytest
 
-from conftest import CORPUS, corpus_words
+from conftest import CORPUS, ROOT, corpus_words
 
 from frontinv import check, cli, rulings, toposkein
 from frontinv.cli import main
@@ -40,6 +43,47 @@ def test_missing_input_file(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error [IO_ERROR]: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_undecodable_input_ends_in_one_coded_line(capsys, tmp_path, command):
+    f = tmp_path / "bad.front"
+    f.write_bytes(b"l1 r1\xff")
+    code, out, err = run_cli(capsys, command, str(f if command == "validate" else tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error [IO_ERROR]: {f}: not UTF-8") and err.count("\n") == 1
+
+
+def test_input_is_read_as_utf8_whatever_the_locale(tmp_path):
+    f = tmp_path / "accent.front"
+    f.write_bytes("# trèfle\nl1 l3 x2 x2 x2 r1 r1\n".encode("utf-8"))
+    # an ASCII locale, in which Python's default encoding cannot read the comment
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "frontinv.cli", "validate", str(f)],
+        env=env, capture_output=True, text=True, errors="replace",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["crossings"] == 3
+
+
+def test_readme_command_block_runs(capsys, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    outputs = {}
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        args = command.split()
+        assert args[0] == "frontinv", line
+        code, out, err = run_cli(capsys, *args[1:])
+        assert code == 0, (line, err)
+        outputs[" ".join(args[1:])] = (json.loads(out), comment.strip())
+    # the two lines whose comment states the output
+    out, stated = outputs["invariants corpus/trefoil.front"]
+    assert out == json.loads(stated)
+    out, stated = outputs["poly corpus/trefoil.front --which ruling"]
+    assert out == {"ruling": stated}
 
 
 def test_invariants(capsys):
@@ -336,8 +380,6 @@ TREFOIL = str(CORPUS / "trefoil.front")
         # the trefoil has 7 letters, and no strand in gap 0
         ("stabilize", TREFOIL, "--site", "99:1"),
         ("stabilize", TREFOIL, "--site", "0:9"),
-        # a PD code has no cusps, so no Q; refused before the file is read
-        ("poly", str(CORPUS / "trefoil.pd"), "--which", "Q"),
         # a directory that holds no .front file
         ("verify", str(CORPUS / "expected")),
         # comm@0 applies on the trefoil; the unknown part must not be dropped
@@ -365,17 +407,6 @@ def test_stabilize(capsys):
     assert json.loads(out)["front"] == "l1 l1 r2 r1"
 
 
-def test_pd_export_and_poly_on_pd(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "pd", str(CORPUS / "trefoil.front"))
-    assert code == 0
-    pd_file = tmp_path / "trefoil.pd"
-    pd_file.write_text(out)
-    code, out2, _ = run_cli(capsys, "poly", str(pd_file), "--which", "kauffman")
-    assert code == 0
-    # the distinguished coefficient must still be visible in D
-    assert "a" in json.loads(out2)["kauffman"]
-
-
 def test_crossing_cap(capsys, tmp_path):
     word = "l1 l3 " + "x2 " * 15 + "r1 r1"
     f = tmp_path / "big.front"
@@ -389,18 +420,6 @@ def test_crossing_cap(capsys, tmp_path):
     assert code == 0 and unforced == out
     code, _, _ = run_cli(capsys, "poly", str(f), "--which", "oruling")
     assert code == 0
-    # the same diagram as PD text is held to the same cap
-    code, out, _ = run_cli(capsys, "pd", str(f))
-    assert code == 0
-    pd_file = tmp_path / "big.pd"
-    pd_file.write_text(out)
-    code, _, err = run_cli(capsys, "poly", str(pd_file), "--which", "kauffman")
-    assert code == 2 and err.startswith("error [LIMIT_EXCEEDED]: ") and "cap" in err
-    code, _, _ = run_cli(capsys, "poly", str(pd_file), "--which", "kauffman", "--force")
-    assert code == 0
-    # a choice PD input cannot serve is refused as such, not for its size
-    code, _, err = run_cli(capsys, "poly", str(pd_file), "--which", "ruling")
-    assert code == 2 and "needs a .front input" in err
 
 
 @pytest.mark.parametrize(
@@ -422,20 +441,3 @@ def test_crossing_cap_counts_crossingless_loops(capsys, tmp_path, text):
         assert f"{n_crossings} crossings and {loops} crossingless loops" in err
         code, _, _ = run_cli(capsys, *args, "--force")
         assert code == 0
-    # the same diagram as PD text: its O lines count the same way
-    code, out, _ = run_cli(capsys, "pd", str(f))
-    assert code == 0
-    pd_file = tmp_path / "loops.pd"
-    pd_file.write_text(out)
-    code, _, err = run_cli(capsys, "poly", str(pd_file), "--which", "homfly")
-    assert code == 2 and err.startswith("error [LIMIT_EXCEEDED]: ")
-    assert f"{n_crossings} crossings and {loops} crossingless loops" in err
-
-
-@pytest.mark.parametrize("text", ["X[1,2,1,2]\n", "X[1,2,3,4]\nX[3,4,1,2]\n"])
-def test_non_planar_pd_ends_in_one_coded_line(capsys, tmp_path, text):
-    f = tmp_path / "torus.pd"
-    f.write_text(text)
-    code, out, err = run_cli(capsys, "poly", str(f), "--which", "kauffman")
-    assert code == 2 and out == ""
-    assert err.startswith("error [NOT_PLANAR]: ") and err.count("\n") == 1
