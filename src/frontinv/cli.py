@@ -23,7 +23,6 @@ from .front import (
     apply_move,
     components,
     invariants,
-    occupancy,
     orient,
     parse_front_file,
     random_move_sequence,
@@ -33,7 +32,6 @@ from .legskein import evaluate_B
 from .rulings import enumerate_rulings, oriented_ruling_polynomial, ruling_polynomial
 from .toposkein import B_of, Q_of, homfly_H, kauffman_D
 
-CROSSING_CAP = 14
 # rulings --list refuses a front with more rulings than this; the count
 # alone comes from the polynomial at any size.
 LIST_LIMIT = 100_000
@@ -60,19 +58,6 @@ def _read_front(path: str | Path) -> tuple[FrontWord, dict[int, bool]]:
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return parse_front_file(text)
-
-
-def _check_cap(word: FrontWord, force: bool) -> None:
-    # The skein routes multiply in a loop factor per crossingless loop, so
-    # loops count toward the cap as crossings do.
-    comp = components(word)
-    crossed = {comp.comp_of[s] for _, pair in occupancy(word).crossing_pairs for s in pair}
-    free_loops = comp.n_components - len(crossed)
-    if word.num_crossings + free_loops > CROSSING_CAP and not force:
-        raise LimitExceeded(
-            f"input has {word.num_crossings} crossings and {free_loops} crossingless loops"
-            f" (cap {CROSSING_CAP} in all); rerun with --force"
-        )
 
 
 def cmd_validate(args) -> int:
@@ -119,9 +104,6 @@ def cmd_poly(args) -> int:
     if args.trace and args.which != "B-leg":
         raise BadArgument(f"--trace needs --which B-leg, not {args.which}")
     word, flags = _read_front(args.path)
-    if args.which not in ("ruling", "oruling"):
-        # The cap is for the skein routes; the ruling sweep builds no tree.
-        _check_cap(word, args.force)
     of = orient(word, flags)
     if args.which == "ruling":
         out = str(ruling_polynomial(word))
@@ -148,14 +130,13 @@ def cmd_poly(args) -> int:
 
 def cmd_verify(args) -> int:
     corpus = Path(args.corpus)
-    paths = sorted(corpus.glob("*.front"))
+    paths = sorted(p for p in corpus.iterdir() if p.name.endswith(".front"))
     if not paths:
         raise BadArgument(f"no .front files in {corpus}")
     report = {"schema": 1, "theorem": args.theorem, "fronts": {}}
     all_ok = True
     for path in paths:
         word, flags = _read_front(path)
-        _check_cap(word, args.force)
         record = check_front(word, flags, timings=args.timings)
         record["ok"] = front_ok(record, args.theorem)
         all_ok = all_ok and record["ok"]
@@ -248,14 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["ruling", "oruling", "B-leg", "B-topo", "Q", "kauffman", "homfly"],
     )
     p.add_argument("--trace", help="write the reduction trace (B-leg) as JSON lines")
-    p.add_argument("--force", action="store_true", help="ignore the crossing cap")
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("verify", help="run the identity suite over a corpus directory")
     p.add_argument("corpus")
     p.add_argument("--theorem", default="3.1", choices=["3.1", "4.1", "corollaries"])
     p.add_argument("--timings", action="store_true")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("moves", help="apply Legendrian moves")

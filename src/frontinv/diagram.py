@@ -78,7 +78,7 @@ def from_oriented_front(of: OrientedFront) -> PlanarDiagram:
         elif let.kind == "x":
             c_idx += 1
             base = 4 * c_idx
-            upper, lower = occ.crossing_pairs[c_idx][1]
+            upper, lower = occ.crossing_pairs[c_idx]
             flow_in.add(base + 3 if of.dirs[upper] == RIGHT else base + 1)
             flow_in.add(base if of.dirs[lower] == RIGHT else base + 2)
             pinned[open_ends[m - 1]] = base + 3

@@ -36,6 +36,22 @@ class FuelExhausted(FrontError):
     code = "FUEL_EXHAUSTED"
 
 
+DEFAULT_FUEL = 1_000_000  # work units per evaluation; each route says what a unit is
+
+
+class Budget:
+    """Units spent by one evaluation, against DEFAULT_FUEL as it was when made."""
+
+    def __init__(self):
+        self.fuel = DEFAULT_FUEL
+        self.spent = 0
+
+    def spend(self, units: int = 1) -> None:
+        self.spent += units
+        if self.spent > self.fuel:
+            raise FuelExhausted(f"evaluation exceeded its work budget of {self.fuel} units")
+
+
 class InternalInconsistency(FrontError):
     code = "INTERNAL_INCONSISTENCY"
 

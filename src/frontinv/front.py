@@ -232,9 +232,9 @@ class Occupancy(NamedTuple):
     """
 
     n_strands: int
-    left_cusps: tuple[tuple[int, tuple[int, int]], ...]   # (letter pos, (upper, lower))
-    right_cusps: tuple[tuple[int, tuple[int, int]], ...]  # (letter pos, (upper, lower))
-    crossing_pairs: tuple[tuple[int, tuple[int, int]], ...]  # (letter pos, (upper, lower))
+    left_cusps: tuple[tuple[int, int], ...]      # (upper, lower), in word order
+    right_cusps: tuple[tuple[int, int], ...]     # (upper, lower), in word order
+    crossing_pairs: tuple[tuple[int, int], ...]  # (upper, lower), in word order
 
 
 @lru_cache(maxsize=4096)
@@ -244,18 +244,18 @@ def occupancy(word: FrontWord) -> Occupancy:
     rights = []
     pairs = []
     next_id = 0
-    for t, let in enumerate(word.letters):
+    for let in word.letters:
         m = let.index
         if let.kind == "l":
             u, v = next_id, next_id + 1
             next_id += 2
             occ[m - 1:m - 1] = [u, v]
-            lefts.append((t, (u, v)))
+            lefts.append((u, v))
         elif let.kind == "x":
-            pairs.append((t, (occ[m - 1], occ[m])))
+            pairs.append((occ[m - 1], occ[m]))
             occ[m - 1], occ[m] = occ[m], occ[m - 1]
         else:
-            rights.append((t, (occ[m - 1], occ[m])))
+            rights.append((occ[m - 1], occ[m]))
             del occ[m - 1:m + 1]
     return Occupancy(next_id, tuple(lefts), tuple(rights), tuple(pairs))
 
@@ -280,7 +280,7 @@ def components(word: FrontWord) -> Components:
     occ = occupancy(word)
     n = occ.n_strands
     right_mate = [0] * n
-    for _, (u, v) in occ.right_cusps:
+    for u, v in occ.right_cusps:
         right_mate[u], right_mate[v] = v, u
     comp_of = [0] * n
     dirs = [0] * n
@@ -350,7 +350,7 @@ def crossing_signs(of: OrientedFront) -> tuple[int, ...]:
     """+1 for each co-directed crossing, -1 otherwise, in word order."""
     occ = occupancy(of.word)
     signs = []
-    for _, (upper, lower) in occ.crossing_pairs:
+    for upper, lower in occ.crossing_pairs:
         signs.append(1 if of.dirs[upper] == of.dirs[lower] else -1)
     return tuple(signs)
 
@@ -369,13 +369,13 @@ def invariants(of: OrientedFront) -> FrontInvariants:
     cr = len(occ.crossing_pairs)
     w = sum(crossing_signs(of))
     down = up = 0
-    for _, (upper, _) in occ.left_cusps:
+    for upper, _ in occ.left_cusps:
         # Upper strand travelling LEFT means the traversal enters on it.
         if of.dirs[upper] == LEFT:
             down += 1
         else:
             up += 1
-    for _, (upper, _) in occ.right_cusps:
+    for upper, _ in occ.right_cusps:
         if of.dirs[upper] == RIGHT:
             down += 1
         else:

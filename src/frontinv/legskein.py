@@ -54,8 +54,8 @@ count and M = N + N1 + N2 + cr(Y), falls at every rewriting step.  Absorbs,
 slides, Type 1/2 moves and skein cascades that end in a Type 2 move lower M.
 Growing a run holds M and grows N1 + N2.  A lone skein step (Type 3, or its
 twin before r_m) holds M and N1 + N2 and shortens run1.  Since
-N1 + N2 <= N - 2, the walk terminates; a fuel counter guards against
-implementation bugs, and bounds the time spent on canonical memo keys.
+N1 + N2 <= N - 2, the walk terminates; an ``errors.Budget`` of 10**6 units,
+one per machine step and per memo-key miss, guards against bugs and slow keys.
 
 Each word meets the rules in a fixed order, all read off its raw letters:
 the split rule (a split union is the product of its factors), then the
@@ -73,15 +73,13 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 
-from .errors import FuelExhausted, InternalInconsistency
+from .errors import Budget, FuelExhausted, InternalInconsistency
 from .front import FrontWord, L, Letter, R, X, strand_counts, swap_adjacent_all
 from .poly import LaurentPoly
 
 Letters = tuple[Letter, ...]
 
 _KIND_RANK = {"x": 0, "l": 1, "r": 2}
-
-_DEFAULT_FUEL = 1_000_000  # machine steps and memo-key misses per evaluate_B call
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +151,7 @@ def _front_candidates(letters: tuple[Letter, ...]) -> set[tuple[Letter, tuple[Le
     return out
 
 
-def canonicalize(letters: Letters, budget: _Budget) -> Letters:
+def canonicalize(letters: Letters, budget: Budget) -> Letters:
     """The memo key of a word: one descent in its commutation class.
 
     Takes a least possible first letter (crossings before left cusps before
@@ -169,7 +167,7 @@ def canonicalize(letters: Letters, budget: _Budget) -> Letters:
     return _minimize(letters, {}, budget)
 
 
-def _minimize(letters: Letters, memo: dict[Letters, Letters], budget: _Budget) -> Letters:
+def _minimize(letters: Letters, memo: dict[Letters, Letters], budget: Budget) -> Letters:
     if not letters:
         return letters
     cached = memo.get(letters)
@@ -229,20 +227,6 @@ def _scan_eye(letters: Letters) -> int | None:
     return None
 
 
-class _Budget:
-    def __init__(self, fuel: int):
-        self.remaining = fuel
-        self.spent = 0
-
-    def spend(self) -> None:
-        if self.remaining <= 0:
-            raise FuelExhausted(
-                f"reduction exceeded the step budget after {self.spent} steps"
-            )
-        self.remaining -= 1
-        self.spent += 1
-
-
 # A step's return when the run goes on.
 _GO_ON = object()
 
@@ -260,7 +244,7 @@ class _Machine:
     drops 1 + d in index: none below the cusp, two above it.
     """
 
-    def __init__(self, letters: Letters, budget: _Budget, trace, run_id: int):
+    def __init__(self, letters: Letters, budget: Budget, trace, run_id: int):
         t0 = max(t for t, let in enumerate(letters) if let.kind == "l")
         self.X = list(letters[:t0])
         self.m = letters[t0].index
@@ -424,7 +408,7 @@ class _Machine:
 class _Evaluator:
     def __init__(self, memo: bool, trace):
         self.memo: dict[Letters, LaurentPoly] | None = {} if memo else None
-        self.budget = _Budget(_DEFAULT_FUEL)
+        self.budget = Budget()
         self.trace = trace
         self.runs = 0
 

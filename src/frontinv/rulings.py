@@ -20,7 +20,8 @@ it shares no logic with the sweep and is its oracle.
 The sweep's state is the pairing alone.  It reads an orientation only
 through :func:`~frontinv.front.crossing_signs`, as the mask of crossings
 where a switch may be taken, so reversing every component, which keeps
-every sign, keeps the oriented rulings.
+every sign, keeps the oriented rulings.  Building the table spends one unit
+of an ``errors.Budget`` (10**6 units) per pairing reached before each letter.
 
 Everything here is pure; enumeration order is deterministic (depth-first,
 non-switch branch before switch).
@@ -31,6 +32,7 @@ from __future__ import annotations
 from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple, Sequence
 
+from .errors import Budget
 from .front import FrontWord, Letter, OrientedFront, crossing_signs
 from .poly import LaurentPoly
 
@@ -109,9 +111,11 @@ def _live_steps(letters: Sequence[Letter], mask: Sequence[bool]) -> list[dict]:
     ends in a ruling to its (plain, switched) next pairings; a step that
     leads to no ruling is None.  The sweep's one caller of :func:`sweep_step`;
     with no ruling, the first map is empty."""
+    budget = Budget()
     steps = []
     reached: set[tuple[int, ...]] = {()}
     for let, may_switch in zip(letters, mask):
+        budget.spend(len(reached))
         step = {
             p: (sweep_step(p, let), sweep_step(p, let, switch=True) if may_switch else None)
             for p in reached

@@ -12,7 +12,10 @@ switching keeps the crossings and the walk and makes one fewer crossing
 bad, so the tree is finite.  A walk that meets no such crossing has found a
 descending diagram, regular-isotopic to a split union of kinked circles,
 and has summed what its value needs on the way:
-a**(sum of self-crossing signs) * delta**(components - 1).
+a**(sum of self-crossing signs) * delta**(components - 1).  Each evaluation
+spends from one ``errors.Budget`` (10**6 units): a memo miss costs its
+diagram's crossing count, which bounds that node's scans and walk, and the
+loop factor delta**n one unit per term of each power built for it.
 
 Conventions, pinned by the corpus identities (ruling polynomial equals the
 chosen Kauffman coefficient, oriented version for HOMFLY):
@@ -48,7 +51,7 @@ from .diagram import (
     traverse,
     writhe,
 )
-from .errors import FuelExhausted, InternalInconsistency
+from .errors import Budget, FuelExhausted, InternalInconsistency
 from .front import OrientedFront, invariants
 from .poly import LaurentPoly, coeff_a, deg_a
 
@@ -66,14 +69,24 @@ class _SkeinEngine:
         self.homfly = homfly
         self.memo: dict[PlanarDiagram, LaurentPoly] = {}
         self.delta = _DELTA_H if homfly else _DELTA_D
+        self.budget = Budget()
+
+    def loops(self, n: int) -> LaurentPoly:
+        """delta ** n, the factor of n + 1 split loops."""
+        out = LaurentPoly.one()
+        for _ in range(n):
+            out = out * self.delta
+            self.budget.spend(len(out))
+        return out
 
     def eval(self, d: PlanarDiagram) -> LaurentPoly:
         if d.n_crossings == 0:
             if d.free_loops == 0:
                 raise InternalInconsistency("empty diagram has no polynomial")
-            return self.delta ** (d.free_loops - 1)
+            return self.loops(d.free_loops - 1)
         value = self.memo.get(d)
         if value is None:
+            self.budget.spend(d.n_crossings)
             value = self.memo[d] = self._compute(d)
         return value
 
@@ -87,7 +100,7 @@ class _SkeinEngine:
             return self.eval(_strip_bigon(d, *bigon))
         c, exponent, k = traverse(d, self.homfly)
         if c is None:
-            return (self.delta ** (k + d.free_loops - 1)).shift(0, exponent)
+            return self.loops(k + d.free_loops - 1).shift(0, exponent)
         q = d.view(c)
         pairs_a = ((q[0], q[1]), (q[2], q[3]))
         pairs_b = ((q[0], q[3]), (q[1], q[2]))

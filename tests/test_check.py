@@ -10,9 +10,10 @@ import pytest
 
 from conftest import closed_words
 
-from frontinv import check
+from frontinv import check, errors
 from frontinv.check import check_front, front_ok
 from frontinv.diagram import from_oriented_front
+from frontinv.errors import FuelExhausted
 from frontinv.front import (
     FrontWord,
     Letter,
@@ -23,7 +24,7 @@ from frontinv.front import (
     strand_counts,
 )
 from frontinv.legskein import evaluate_B
-from frontinv.rulings import oriented_ruling_polynomial, ruling_polynomial
+from frontinv.rulings import enumerate_rulings, oriented_ruling_polynomial, ruling_polynomial
 from frontinv.toposkein import homfly_H, kauffman_D
 
 
@@ -141,3 +142,21 @@ def test_routes_are_invariant_under_legendrian_reflections():
             if _route_values(reflect(w)) != values:
                 bad.append((reflect.__name__, w.render()))
     assert not bad
+
+
+@pytest.mark.parametrize(
+    "route",
+    [ruling_polynomial, oriented_ruling_polynomial, enumerate_rulings, evaluate_B, kauffman_D, homfly_H],
+    ids=lambda route: route.__name__,
+)
+def test_one_constant_budgets_every_route(monkeypatch, route):
+    word = parse_front("l1 l3 x2 x2 x2 r1 r1")
+    arg = {
+        oriented_ruling_polynomial: orient(word),
+        kauffman_D: from_oriented_front(orient(word)),
+        homfly_H: from_oriented_front(orient(word)),
+    }.get(route, word)
+    route(arg)
+    monkeypatch.setattr(errors, "DEFAULT_FUEL", 1)
+    with pytest.raises(FuelExhausted):
+        route(arg)

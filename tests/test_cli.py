@@ -11,10 +11,10 @@ import pytest
 
 from conftest import CORPUS, ROOT, corpus_words
 
-from frontinv import check, cli, rulings, toposkein
+from frontinv import check, cli, errors, rulings, toposkein
 from frontinv.cli import main
 from frontinv.front import components, crossing_signs, orient, parse_front, stabilize
-from frontinv.poly import LaurentPoly
+from frontinv.poly import LaurentPoly, coeff_a, parse_poly
 
 
 def run_cli(capsys, *args) -> tuple[int, str, str]:
@@ -407,37 +407,77 @@ def test_stabilize(capsys):
     assert json.loads(out)["front"] == "l1 l1 r2 r1"
 
 
-def test_crossing_cap(capsys, tmp_path):
-    word = "l1 l3 " + "x2 " * 15 + "r1 r1"
-    f = tmp_path / "big.front"
-    f.write_text(word + "\n")
-    code, _, err = run_cli(capsys, "poly", str(f), "--which", "B-topo")
-    assert code == 2 and err.startswith("error [LIMIT_EXCEEDED]: ") and "cap" in err
-    code, out, _ = run_cli(capsys, "poly", str(f), "--which", "ruling", "--force")
-    assert code == 0
-    # the cap is for the skein routes: the ruling sweep builds no tree
-    code, unforced, _ = run_cli(capsys, "poly", str(f), "--which", "ruling")
-    assert code == 0 and unforced == out
-    code, _, _ = run_cli(capsys, "poly", str(f), "--which", "oruling")
-    assert code == 0
+def _closure(strands: int, gens: list[int]) -> str:
+    """Closure l1 .. lk beta rk .. r1 of a positive braid."""
+    lefts = [f"l{i}" for i in range(1, strands + 1)]
+    rights = [f"r{i}" for i in range(strands, 0, -1)]
+    return " ".join(lefts + [f"x{g}" for g in gens] + rights)
 
 
 @pytest.mark.parametrize(
     "text",
-    ["l1 r1 " * 15, "l1 l3 " + "x2 " * 12 + "r1 r1 " + "l1 r1 " * 3],
-    ids=["15-loops", "link-and-3-loops"],
+    ["l1 l3 " + "x2 " * 15 + "r1 r1", "l1 r1 " * 15, "l1 l3 l5 " + "x2 x3 x4 x3 " * 11 + "r1 r1 r1"],
+    ids=["T(2,15)", "15-loops", "44-crossings"],
 )
-def test_crossing_cap_counts_crossingless_loops(capsys, tmp_path, text):
-    # each loop costs the skein routes a product: 15 loops, or a 12-crossing
-    # link and 3 loops, exceed the cap of 14
-    f = tmp_path / "loops.front"
+def test_work_budget_admits_large_fronts(capsys, tmp_path, text):
+    # 15 to 44 crossings or loops, yet little work: every route stops on the
+    # work it has done, not on the size of its input
+    f = tmp_path / "big.front"
     f.write_text(text + "\n")
-    n_crossings = text.count("x")
-    loops = text.count("l1 r1")
-    assert n_crossings <= cli.CROSSING_CAP < n_crossings + loops
-    for args in (("poly", str(f), "--which", "kauffman"), ("verify", str(tmp_path))):
-        code, out, err = run_cli(capsys, *args)
-        assert code == 2 and out == "" and err.startswith("error [LIMIT_EXCEEDED]: ")
-        assert f"{n_crossings} crossings and {loops} crossingless loops" in err
-        code, _, _ = run_cli(capsys, *args, "--force")
-        assert code == 0
+    word = parse_front(text)
+    R = rulings.ruling_polynomial(word)
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 0
+    rec = json.loads(out)["fronts"]["big"]
+    assert rec["ok"] and rec["R"] == rec["B_leg"] == rec["B_topo"] == str(R)
+    code, out, _ = run_cli(capsys, "poly", str(f), "--which", "B-topo")
+    assert code == 0 and json.loads(out)["B-topo"] == str(R)
+    code, out, _ = run_cli(capsys, "poly", str(f), "--which", "kauffman")
+    assert code == 0
+    D = parse_poly(json.loads(out)["kauffman"])
+    assert coeff_a(D, word.num_left_cusps - 1) == R
+
+
+@pytest.mark.parametrize("command", ["poly", "verify"])
+def test_force_is_not_an_option(capsys, command):
+    args = [command, str(CORPUS / "trefoil.front")]
+    if command == "poly":
+        args += ["--which", "kauffman"]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,args",
+    [
+        (_closure(9, list(range(1, 9)) * 8), ["poly", "--which", "ruling"]),
+        (_closure(4, [1, 2, 3] * 9), ["verify"]),
+        ("l1 r1 " * 1000, ["poly", "--which", "kauffman"]),
+    ],
+    ids=["9-strand-sweep", "27-crossing-verify", "1000-eyes-kauffman"],
+)
+def test_oversized_input_ends_in_fuel_exhausted(capsys, tmp_path, monkeypatch, text, args):
+    # at the default budget these end in the same line after 1-10 s; a budget
+    # 20 times smaller keeps the test fast
+    monkeypatch.setattr(errors, "DEFAULT_FUEL", errors.DEFAULT_FUEL // 20)
+    f = tmp_path / "big.front"
+    f.write_text(text + "\n")
+    command, *options = args
+    code, out, err = run_cli(capsys, command, str(tmp_path if command == "verify" else f), *options)
+    assert code == 2 and out == ""
+    assert err.startswith("error [FUEL_EXHAUSTED]: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "where,code_name",
+    [("missing", "IO_ERROR"), ("a-file", "IO_ERROR"), ("empty", "BAD_ARGUMENT")],
+)
+def test_verify_path_that_is_not_a_corpus(capsys, tmp_path, where, code_name):
+    # a path that does not exist, or is a file, cannot be read as a corpus;
+    # an empty directory can, and holds no front
+    path = {"missing": tmp_path / "nonexistent", "a-file": CORPUS / "trefoil.front", "empty": tmp_path}
+    code, out, err = run_cli(capsys, "verify", str(path[where]))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error [{code_name}]: ") and err.count("\n") == 1

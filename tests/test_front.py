@@ -183,7 +183,7 @@ def test_orientations_follow_the_definition_on_the_census():
     for w in closed_words(7, 6):
         occ = occupancy(w)
         comp_of = components(w).comp_of
-        cusps = [pair for _, pair in occ.left_cusps + occ.right_cusps]
+        cusps = occ.left_cusps + occ.right_cusps
         # each component id names one connected cycle of cusps
         for cid in set(comp_of):
             members = {s for s, c in enumerate(comp_of) if c == cid}
@@ -196,7 +196,7 @@ def test_orientations_follow_the_definition_on_the_census():
             assert reached == members
         # ids are numbered by the position of each component's first left cusp
         firsts = {}
-        for _, (upper, _) in occ.left_cusps:
+        for upper, _ in occ.left_cusps:
             firsts.setdefault(comp_of[upper], upper)
         assert list(firsts) == list(range(1, len(firsts) + 1))
         default, *others = all_orientations(w)
@@ -213,7 +213,7 @@ def test_orientations_follow_the_definition_on_the_census():
 def test_default_orientation_unknot():
     of = orient(parse_front("l1 r1"))
     occ = occupancy(of.word)
-    (t, (upper, lower)), = occ.left_cusps
+    (upper, lower), = occ.left_cusps
     assert of.dirs[upper] == RIGHT
     assert of.dirs[lower] == LEFT
 

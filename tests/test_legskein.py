@@ -10,19 +10,21 @@ import pytest
 
 from conftest import closed_words, corpus_words, random_fronts, recursion_headroom
 
-from frontinv.errors import FuelExhausted
-from frontinv.front import FrontWord, L, Letter, R, X, parse_front, swap_adjacent_all
-from frontinv import legskein
-from frontinv.legskein import _Budget, _Evaluator, _Machine, _scan_eye, _scan_zero, canonicalize, evaluate_B
+from frontinv import errors, legskein
+from frontinv.diagram import from_oriented_front
+from frontinv.errors import Budget, FuelExhausted
+from frontinv.front import FrontWord, L, Letter, R, X, orient, parse_front, swap_adjacent_all
+from frontinv.legskein import _Evaluator, _Machine, _scan_eye, _scan_zero, canonicalize, evaluate_B
 from frontinv.poly import LaurentPoly, parse_poly1
-from frontinv.rulings import ruling_polynomial
+from frontinv.rulings import enumerate_rulings, oriented_ruling_polynomial, ruling_polynomial
+from frontinv.toposkein import homfly_H, kauffman_D
 
 
 # -- memo keys
 
 
 def _key(word: FrontWord) -> FrontWord:
-    return FrontWord(canonicalize(word.letters, _Budget(10 ** 6)))
+    return FrontWord(canonicalize(word.letters, Budget()))
 
 
 def test_canonicalize_commuting_crossings():
@@ -175,7 +177,7 @@ def test_each_machine_run_preserves_value():
     # the sweep must give both sides of that identity the same value
     for word in closed_words(8, 4) + [parse_front(text) for text in RUN_STATE_WORDS]:
         trace: list = []
-        machine = _Machine(word.letters, _Budget(10 ** 6), trace, 1)
+        machine = _Machine(word.letters, Budget(), trace, 1)
         rest = machine.run()
         total = LaurentPoly.zero()
         for coeff, side in machine.sides:
@@ -428,14 +430,33 @@ def test_trace_measure_monotone():
 
 
 def test_fuel_budget_is_generous(monkeypatch):
-    # the default budget must be at least 100x what desk-scale fronts need:
-    # twist(37) needs 6 881 steps (740 machine steps, 6 141 memo-key misses),
-    # the 4-strand closure 1 608, the corpus <= 115
-    monkeypatch.setattr(legskein, "_DEFAULT_FUEL", legskein._DEFAULT_FUEL // 100)
-    for name, word in corpus_words():
+    # the default budget must be at least 100x what desk-scale fronts need on
+    # every route, and 50x what the benchmark's widest sweep needs.  Largest
+    # needs measured: the rewrite route 6 881 on twist(37) (740 machine steps,
+    # 6 141 memo-key misses) and 1 608 on the 4-strand closure; the skein tree
+    # 2 074 (D on twist(37)); the sweep 78; the corpus <= 115 on any route;
+    # braid6x30 of sweep-wide (seed 4) 12 910 in the sweep, 77x below.
+    monkeypatch.setattr(errors, "DEFAULT_FUEL", 10 ** 4)
+    corpus = [word for _, word in corpus_words()]
+    for word in corpus:
+        enumerate_rulings(word)
+    twist = parse_front("l1 l3 " + "x2 " * 37 + "r1 r1")
+    closure = parse_front("l1 l2 l3 l4 x3 x3 x3 x2 x2 x2 x2 x2 x3 x3 x3 x3 r4 r3 r2 r1")
+    for word in corpus + [twist, closure]:
         evaluate_B(word)
-    evaluate_B(parse_front("l1 l3 " + "x2 " * 37 + "r1 r1"))
-    evaluate_B(parse_front("l1 l2 l3 l4 x3 x3 x3 x2 x2 x2 x2 x2 x3 x3 x3 x3 r4 r3 r2 r1"))
+        of = orient(word)
+        ruling_polynomial(word)
+        oriented_ruling_polynomial(of)
+        d = from_oriented_front(of)
+        kauffman_D(d)
+        homfly_H(d)
+    monkeypatch.setattr(errors, "DEFAULT_FUEL", 2 * 10 ** 4)
+    braid6x30 = parse_front(
+        "l1 l2 l3 l4 l5 l6 x5 x4 x3 x2 x1 x1 x2 x3 x4 x5 x5 x4 x3 x2 x1"
+        " x5 x4 x3 x2 x1 x5 x4 x3 x2 x1 x1 x2 x3 x4 x5 r6 r5 r4 r3 r2 r1"
+    )
+    ruling_polynomial(braid6x30)
+    oriented_ruling_polynomial(orient(braid6x30))
 
 
 def test_fuel_budget_counts_memo_keys(monkeypatch):
@@ -448,15 +469,15 @@ def test_fuel_budget_counts_memo_keys(monkeypatch):
     ev = _Evaluator(True, None)
     ev.eval(word.letters)
     assert ev.budget.spent > machine_steps
-    monkeypatch.setattr(legskein, "_DEFAULT_FUEL", machine_steps)
+    monkeypatch.setattr(errors, "DEFAULT_FUEL", machine_steps)
     with pytest.raises(FuelExhausted):
         evaluate_B(word)
-    monkeypatch.setattr(legskein, "_DEFAULT_FUEL", ev.budget.spent)
+    monkeypatch.setattr(errors, "DEFAULT_FUEL", ev.budget.spent)
     assert evaluate_B(word) == value
 
 
 def test_fuel_exhaustion_raises(monkeypatch):
-    monkeypatch.setattr(legskein, "_DEFAULT_FUEL", 1)
+    monkeypatch.setattr(errors, "DEFAULT_FUEL", 1)
     with pytest.raises(FuelExhausted):
         evaluate_B(parse_front("l1 l3 x2 x2 x2 r1 r1"))
 

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import checked_front, closed_words, corpus_words, random_fronts, recursion_headroom
 
-from frontinv.cli import CROSSING_CAP
 from frontinv.diagram import (
     PlanarDiagram,
     _find_bigon,
@@ -271,11 +270,10 @@ def test_defining_relations_on_random_diagrams():
     ["l1 l2 l3 l4 " + "x1 x2 x3 " * 5 + "r4 r3 r2 r1", "l1 l3 " + "x2 " * 31 + "r1 r1"],
     ids=["4-braid-15", "T(2,31)"],
 )
-def test_triangle_past_crossing_cap(text):
-    # the CLI refuses these without --force; the routes must still agree
-    w = parse_front(text)
-    assert w.num_crossings > CROSSING_CAP
-    checked_front(w)
+def test_triangle_on_large_fronts(text):
+    # more than twice the corpus's largest crossing count (6): the routes
+    # must still agree
+    checked_front(parse_front(text))
 
 
 @pytest.mark.parametrize("evaluate", [kauffman_D, homfly_H])
