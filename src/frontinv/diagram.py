@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .front import RIGHT, OrientedFront, occupancy
+from .front import OrientedFront, components, occupancy
 
 
 class PlanarDiagram(NamedTuple):
@@ -51,60 +51,33 @@ class PlanarDiagram(NamedTuple):
 
 
 def from_oriented_front(of: OrientedFront) -> PlanarDiagram:
-    """Top(K): smooth cusps, overstrand by the lesser-slope rule."""
-    word = of.word
-    occ = occupancy(word)
-    other_end: dict[int, int] = {}
-    pinned: dict[int, int] = {}
-    open_ends: list[int] = []
-    free_loops = 0
-    next_tok = 0
-    flow_in: set[int] = set()
-    c_idx = -1
+    """Top(K): smooth cusps, overstrand by the lesser-slope rule.
 
-    def fresh_pair() -> tuple[int, int]:
-        nonlocal next_tok
-        t1, t2 = next_tok, next_tok + 1
-        next_tok += 2
-        other_end[t1] = t2
-        other_end[t2] = t1
-        return t1, t2
-
-    for let in word.letters:
-        m = let.index
-        if let.kind == "l":
-            t1, t2 = fresh_pair()
-            open_ends[m - 1:m - 1] = [t1, t2]
-        elif let.kind == "x":
-            c_idx += 1
-            base = 4 * c_idx
-            upper, lower = occ.crossing_pairs[c_idx]
-            flow_in.add(base + 3 if of.dirs[upper] == RIGHT else base + 1)
-            flow_in.add(base if of.dirs[lower] == RIGHT else base + 2)
-            pinned[open_ends[m - 1]] = base + 3
-            pinned[open_ends[m]] = base
-            ne_pin, ne_run = fresh_pair()
-            se_pin, se_run = fresh_pair()
-            pinned[ne_pin] = base + 2
-            pinned[se_pin] = base + 1
-            open_ends[m - 1] = ne_run
-            open_ends[m] = se_run
-        else:
-            t1 = open_ends[m - 1]
-            t2 = open_ends[m]
-            if other_end[t1] == t2:
-                free_loops += 1
-            else:
-                a, b = other_end[t1], other_end[t2]
-                other_end[a] = b
-                other_end[b] = a
-            del open_ends[m - 1:m + 1]
-
-    # Once every cusp is closed, each pinned token's far end is pinned too.
-    n = c_idx + 1
+    Crossing ``c`` is the ``c``-th crossing of the word; travelling right,
+    its upper strand passes ports ``4c+3, 4c+1`` and its lower ``4c, 4c+2``.
+    Along each cusp cycle (``Components.cycles``) the ports alternate
+    between entering and leaving a crossing, and smoothing the cusps joins
+    each port that leaves to the next one that enters.
+    """
+    occ = occupancy(of.word)
+    ports: list[list[int]] = [[] for _ in range(occ.n_strands)]
+    for c, (upper, lower) in enumerate(occ.crossing_pairs):
+        ports[upper] += (4 * c + 3, 4 * c + 1)
+        ports[lower] += (4 * c, 4 * c + 2)
+    n = len(occ.crossing_pairs)
     nbr = [0] * (4 * n)
-    for tok, port in pinned.items():
-        nbr[port] = pinned[other_end[tok]]
+    flow_in: list[int] = []
+    free_loops = 0
+    for cycle, default in zip(components(of.word).cycles, of.choices):
+        seq: list[int] = []
+        for i, s in enumerate(cycle):
+            seq += ports[s] if i % 2 == 0 else ports[s][::-1]
+        if not seq:
+            free_loops += 1
+        for k in range(1, len(seq), 2):
+            p, q = seq[k], seq[(k + 1) % len(seq)]
+            nbr[p], nbr[q] = q, p
+        flow_in += seq[0::2] if default else seq[1::2]
     return PlanarDiagram(tuple(nbr), (True,) * n, frozenset(flow_in), free_loops)
 
 

@@ -266,12 +266,16 @@ class Components(NamedTuple):
     Components are numbered 1.. by the word position of their first left
     cusp.  ``dirs`` is the default direction of every strand: the upper
     strand at each component's first left cusp travels RIGHT, and the
-    direction flips at every cusp along the component.
+    direction flips at every cusp along the component.  ``cycles`` lists,
+    per component in id order, its strand ids in the order the default
+    orientation travels them from that upper strand, so the strands at even
+    places travel RIGHT and those at odd places LEFT.
     """
 
     comp_of: tuple[int, ...]       # strand id -> 1-based component id
     n_components: int
     dirs: tuple[int, ...]          # strand id -> RIGHT or LEFT, default orientation
+    cycles: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=4096)
@@ -284,20 +288,21 @@ def components(word: FrontWord) -> Components:
         right_mate[u], right_mate[v] = v, u
     comp_of = [0] * n
     dirs = [0] * n
-    k = 0
+    cycles: list[list[int]] = []
     # Strand ids go in birth order, so the left cusps' upper strands are the
     # even ids in word order and the left-cusp mate of strand s is s ^ 1.
     for start in range(0, n, 2):
         if comp_of[start]:
             continue
-        k += 1
+        cycles.append([])
         s = start
         while not comp_of[s]:
             e = right_mate[s]
-            comp_of[s] = comp_of[e] = k
+            comp_of[s] = comp_of[e] = len(cycles)
             dirs[s], dirs[e] = RIGHT, LEFT
+            cycles[-1] += (s, e)
             s = e ^ 1
-    return Components(tuple(comp_of), k, tuple(dirs))
+    return Components(tuple(comp_of), len(cycles), tuple(dirs), tuple(map(tuple, cycles)))
 
 
 class OrientedFront(NamedTuple):
@@ -306,10 +311,6 @@ class OrientedFront(NamedTuple):
     word: FrontWord
     dirs: tuple[int, ...]          # strand id -> RIGHT or LEFT
     choices: tuple[bool, ...]      # per component: True = default direction
-
-    @property
-    def n_components(self) -> int:
-        return len(self.choices)
 
 
 def orient(word: FrontWord, choices: Mapping[int, bool] | None = None) -> OrientedFront:

@@ -11,11 +11,11 @@ The ruling polynomial is the sum of z**(s - c + 1) over rulings with s
 switches, where c is the number of left cusps.
 
 Two independent implementations are provided.  A left-to-right sweep over
-position pairings (:func:`sweep_step`) fills one table per front and switch
-mask (:func:`_live_steps`), which :func:`enumerate_rulings` walks depth first
-and both polynomials walk forward.  A direct checker (:func:`is_ruling`)
-resolves a candidate switch set and tests the defining conditions literally;
-it shares no logic with the sweep and is its oracle.
+position pairings (:func:`sweep_step`) fills one table per front and
+orientation (:func:`_live_steps`), which :func:`enumerate_rulings` walks
+depth first and both polynomials walk forward.  A direct checker
+(:func:`is_ruling`) resolves a candidate switch set and tests the defining
+conditions literally; it shares no logic with the sweep and is its oracle.
 
 The sweep's state is the pairing alone.  It reads an orientation only
 through :func:`~frontinv.front.crossing_signs`, as the mask of crossings
@@ -30,7 +30,7 @@ non-switch branch before switch).
 from __future__ import annotations
 
 from itertools import accumulate, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import Budget
 from .front import FrontWord, Letter, OrientedFront, crossing_signs
@@ -89,13 +89,6 @@ def sweep_step(
     return None
 
 
-def _switch_mask(word: FrontWord, of: OrientedFront | None) -> tuple[bool, ...]:
-    """Per letter, whether a ruling may switch there: at every crossing, or
-    given an orientation ``of``, at its positive crossings only."""
-    positive = repeat(True) if of is None else (s == 1 for s in crossing_signs(of))
-    return tuple(let.kind == "x" and next(positive) for let in word.letters)
-
-
 class Ruling(NamedTuple):
     """A switch set, as 1-based crossing ordinals in increasing order."""
 
@@ -106,16 +99,20 @@ class Ruling(NamedTuple):
         return len(self.switches)
 
 
-def _live_steps(letters: Sequence[Letter], mask: Sequence[bool]) -> list[dict]:
+def _live_steps(word: FrontWord, of: OrientedFront | None) -> list[dict]:
     """Per letter, a map from every pairing that is reachable there and still
     ends in a ruling to its (plain, switched) next pairings; a step that
-    leads to no ruling is None.  The sweep's one caller of :func:`sweep_step`;
-    with no ruling, the first map is empty."""
+    leads to no ruling is None.  A ruling may switch at every crossing, or
+    given an orientation ``of``, at its positive crossings only.  The
+    sweep's one caller of :func:`sweep_step`; with no ruling, the first map
+    is empty."""
     budget = Budget()
+    positive = repeat(True) if of is None else (s == 1 for s in crossing_signs(of))
     steps = []
     reached: set[tuple[int, ...]] = {()}
-    for let, may_switch in zip(letters, mask):
+    for let in word.letters:
         budget.spend(len(reached))
+        may_switch = let.kind == "x" and next(positive)
         step = {
             p: (sweep_step(p, let), sweep_step(p, let, switch=True) if may_switch else None)
             for p in reached
@@ -144,7 +141,7 @@ def enumerate_rulings(word: FrontWord, of: OrientedFront | None = None) -> list[
     times the word's length.
     """
     letters = word.letters
-    steps = _live_steps(letters, _switch_mask(word, of))
+    steps = _live_steps(word, of)
     ordinals = tuple(accumulate(let.kind == "x" for let in letters))
     out: list[Ruling] = []
     # An explicit stack, so the depth of a word is not bounded by Python's
@@ -281,7 +278,7 @@ def enumerate_rulings_bruteforce(word: FrontWord, of: OrientedFront | None = Non
 def _polynomial(word: FrontWord, of: OrientedFront | None) -> LaurentPoly:
     """A forward walk of the live table: equal pairings merge their weights,
     and a switch multiplies a weight by z."""
-    steps = _live_steps(word.letters, _switch_mask(word, of))
+    steps = _live_steps(word, of)
     if steps and () not in steps[0]:
         return LaurentPoly.zero()
     current: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one()}

@@ -23,6 +23,14 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 
+# Fronts of 15 to 44 crossings or loops on which every route does little work.
+LARGE_FRONTS = {
+    "T(2,15)": "l1 l3 " + "x2 " * 15 + "r1 r1",
+    "15-loops": "l1 r1 " * 15,
+    "44-crossings": "l1 l3 l5 " + "x2 x3 x4 x3 " * 11 + "r1 r1 r1",
+}
+
+
 def corpus_paths() -> list[Path]:
     return sorted(CORPUS.glob("*.front"))
 

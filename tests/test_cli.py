@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from conftest import CORPUS, ROOT, corpus_words
+from conftest import CORPUS, LARGE_FRONTS, ROOT, corpus_words
 
 from frontinv import check, cli, errors, rulings, toposkein
 from frontinv.cli import main
@@ -414,11 +414,7 @@ def _closure(strands: int, gens: list[int]) -> str:
     return " ".join(lefts + [f"x{g}" for g in gens] + rights)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["l1 l3 " + "x2 " * 15 + "r1 r1", "l1 r1 " * 15, "l1 l3 l5 " + "x2 x3 x4 x3 " * 11 + "r1 r1 r1"],
-    ids=["T(2,15)", "15-loops", "44-crossings"],
-)
+@pytest.mark.parametrize("text", list(LARGE_FRONTS.values()), ids=list(LARGE_FRONTS))
 def test_work_budget_admits_large_fronts(capsys, tmp_path, text):
     # 15 to 44 crossings or loops, yet little work: every route stops on the
     # work it has done, not on the size of its input

@@ -248,7 +248,7 @@ def test_polynomial_weighs_only_live_entries(monkeypatch):
         return out
 
     monkeypatch.setattr(rulings, "sweep_step", counted)
-    steps = rulings._live_steps(w.letters, rulings._switch_mask(w, None))
+    steps = rulings._live_steps(w, None)
     live = sum(switched is not None for step in steps for _, switched in step.values())
     assert live < sum(reached)
     expected = enumerated_polynomial(w)

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 
-from conftest import checked_front, closed_words, corpus_words, random_fronts, recursion_headroom
+from conftest import (
+    LARGE_FRONTS,
+    checked_front,
+    closed_words,
+    corpus_words,
+    random_fronts,
+    recursion_headroom,
+)
 
 from frontinv.diagram import (
     PlanarDiagram,
@@ -31,6 +39,7 @@ from frontinv.front import (
 from frontinv.poly import (
     NEG_INFINITY,
     LaurentPoly,
+    _decode,
     coeff_a,
     deg_a,
     parse_poly,
@@ -461,3 +470,111 @@ def test_values_do_not_depend_on_port_numbering():
                 relabelled += d2 != d
                 assert (writhe(d2), kauffman_D(d2), homfly_H(d2)) == (w, D, H), word.render()
     assert relabelled > 1000
+
+
+def test_top_k_diagrams_are_pinned():
+    # Top(K) port for port on every orientation: a change to how the
+    # diagram is built must leave every skein tree, memo key and value as is
+    words = closed_words(7, 4) + [word for _, word in corpus_words()]
+    words += [parse_front(text) for text in (*TREE_SHAPE_FRONTS.values(), *LARGE_FRONTS.values())]
+    digest = hashlib.sha256()
+    n = 0
+    for word in words:
+        for of in all_orientations(word):
+            d = from_oriented_front(of)
+            digest.update(repr((d.nbr, d.under02, tuple(sorted(d.flow_in)), d.free_loops)).encode())
+            n += 1
+    assert (n, digest.hexdigest()) == (
+        39276, "d1506a4048a8258eb85666e1394cb425a9f0de06dd44da48a16ef6fda0972dce")
+
+
+# The Kauffman bracket, as a Laurent polynomial in A stored in the z slot.
+
+
+def _A_pow(k: int, sign: int = 1) -> LaurentPoly:
+    return LaurentPoly.monomial(k, 0, sign)
+
+
+_BRACKET_DELTA = _A_pow(2, -1) + _A_pow(-2, -1)
+
+
+def bracket(d: PlanarDiagram) -> LaurentPoly:
+    """<d> by the 2^n state sum, with a crossingless circle 1.
+
+    The A-smoothing of crossing c joins places (q0, q1) and (q2, q3) of
+    ``d.view(c)`` and the B-smoothing (q0, q3) and (q1, q2); a state's loops
+    are the classes of a union-find over the arcs and the joins, plus the
+    free loops.
+    """
+    n = d.n_crossings
+    parent: list[int] = []
+
+    def find(p: int) -> int:
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    def join(p: int, q: int) -> None:
+        parent[find(p)] = find(q)
+
+    weights: Counter = Counter()
+    for state in range(2 ** n):
+        parent[:] = range(4 * n)
+        for p, q in enumerate(d.nbr):
+            join(p, q)
+        n_a = 0
+        for c in range(n):
+            q0, q1, q2, q3 = (4 * c + i for i in d.view(c))
+            if state >> c & 1:
+                join(q0, q3)
+                join(q1, q2)
+            else:
+                n_a += 1
+                join(q0, q1)
+                join(q2, q3)
+        loops = sum(find(p) == p for p in range(4 * n)) + d.free_loops
+        weights[2 * n_a - n, loops] += 1
+    out = LaurentPoly.zero()
+    for (e, loops), count in weights.items():
+        out = out + _A_pow(e) * _BRACKET_DELTA ** (loops - 1) * count
+    return out
+
+
+def _specialize(p: LaurentPoly, z: LaurentPoly, a_pow, k: int) -> LaurentPoly:
+    """z**k * p with z and each power a**j replaced by polynomials in A;
+    ``k`` must make every power of z in the product non-negative."""
+    out = LaurentPoly.zero()
+    for key, c in p._terms.items():
+        i, j = _decode(key)
+        out = out + z ** (i + k) * a_pow(j) * c
+    return out
+
+
+def _mirror(p: LaurentPoly) -> LaurentPoly:
+    """p(A**-1)."""
+    return LaurentPoly({-e: c for e, c in p.terms.items()})
+
+
+def test_D_and_H_specialize_to_the_bracket():
+    # D(z = A - A^-1, a = -A^3) = <K>(A) and
+    # H(z = A^2 - A^-2, a = A^-4) = (-1)^w A^-w <K>(A^-1), w the writhe of
+    # Top(K): exact Laurent polynomials, both sides times the image of z**k
+    z_d = _A_pow(1) - _A_pow(-1)
+    z_h = _A_pow(2) - _A_pow(-2)
+    words = closed_words(6, 4) + [word for _, word in corpus_words()]
+    checked = 0
+    for word in words:
+        for of in all_orientations(word):
+            d = from_oriented_front(of)
+            br = bracket(d)
+            D, H = kauffman_D(d), homfly_H(d)
+            k = max([0] + [-_decode(key)[0] for key in (*D._terms, *H._terms)])
+            lhs = _specialize(D, z_d, lambda j: _A_pow(3 * j, 1 - 2 * (j % 2)), k)
+            assert lhs == br * z_d ** k, (word.render(), of.choices)
+            w = writhe(d)
+            lhs = _specialize(H, z_h, lambda j: _A_pow(-4 * j), k)
+            assert lhs == _A_pow(-w, 1 - 2 * (w % 2)) * _mirror(br) * z_h ** k, (
+                word.render(), of.choices)
+            checked += 1
+    assert checked == 1206
