@@ -57,15 +57,16 @@ twin before r_m) holds M and N1 + N2 and shortens run1.  Since
 N1 + N2 <= N - 2, the walk terminates; an ``errors.Budget`` of 10**6 units,
 one per machine step and per memo-key miss, guards against bugs and slow keys.
 
-Each word meets the rules in a fixed order, all read off its raw letters:
-the split rule (a split union is the product of its factors), then the
-empty word (value z, which makes the split rule and the unknot value
-consistent), then a zero pattern, then an eye l_m r_m (removed with a
-factor z^-1).  Only a word that none of them decides gets a memo key and,
-on a miss, a machine run.  So a chain of eyes costs one lookup per factor,
-and the memo holds only words the machine runs on.  The key, built by
-``canonicalize``, is one descent to a deterministic member of the word's
-planar-isotopy commutation class, so words that share it share a value.
+Each word meets the rules in a fixed order, all read off one pass over its
+raw letters (``_read_rules``): the split rule (a split union is the product
+of its factors), then the empty word (value z, which makes the split rule
+and the unknot value consistent), then a zero pattern, then an eye l_m r_m
+(removed with a factor z^-1).  Only a word that none of them decides gets a
+memo key and, on a miss, a machine run.  So a chain of eyes costs one lookup
+per factor, and the memo holds only words the machine runs on.  The key,
+built by ``canonicalize``, is one descent to a deterministic member of the
+word's planar-isotopy commutation class, so words that share it share a
+value.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ import sys
 from functools import lru_cache
 
 from .errors import Budget, FuelExhausted, InternalInconsistency
-from .front import FrontWord, L, Letter, R, X, strand_counts, swap_adjacent_all
+from .front import FrontWord, L, Letter, R, X, swap_adjacent_all
 from .poly import LaurentPoly
 
 Letters = tuple[Letter, ...]
@@ -191,40 +192,41 @@ def _minimize(letters: Letters, memo: dict[Letters, Letters], budget: Budget) ->
 # The reduction machine
 
 
-def _split_factors(letters: Letters) -> list[Letters]:
-    counts = strand_counts(letters)
-    factors = []
-    start = 0
-    for t in range(1, len(letters) + 1):
-        if counts[t] == 0:
-            factors.append(letters[start:t])
-            start = t
-    return factors
+def _read_rules(letters: Letters) -> tuple[list[int], bool, int | None]:
+    """The split, zero and eye rules of a word, read off one pass.
 
-
-_ZERO_PATTERNS = {
-    ("l", "x"): lambda a, b: a == b,
-    ("x", "r"): lambda a, b: a == b,
-    ("l", "r"): lambda a, b: abs(a - b) == 1,
-}
-
-
-def _scan_zero(letters: Letters) -> bool:
-    for k in range(len(letters) - 1):
-        p, q = letters[k], letters[k + 1]
-        check = _ZERO_PATTERNS.get((p.kind, q.kind))
-        if check and check(p.index, q.index):
-            return True
-    return False
-
-
-def _scan_eye(letters: Letters) -> int | None:
-    """Position of an adjacent l_m r_m pair (a split unknot), if any."""
-    for k in range(len(letters) - 1):
-        p, q = letters[k], letters[k + 1]
-        if p.kind == "l" and q.kind == "r" and p.index == q.index:
-            return k
-    return None
+    Returns the cuts between split factors (each position before the end
+    where the strand count returns to 0), whether a zero pattern occurs
+    (l_m x_m, x_m r_m, or l_m r_(m+-1)), and the position of the first eye
+    l_m r_m, or None.
+    """
+    cuts = []
+    zero = False
+    eye = None
+    n = 0
+    prev_kind, prev_index = "", 0
+    for t, (kind, index) in enumerate(letters):
+        if kind == "l":
+            n += 2
+        elif kind == "x":
+            if prev_kind == "l" and index == prev_index:
+                zero = True
+        else:
+            n -= 2
+            if n == 0:
+                cuts.append(t + 1)
+            if prev_kind == "l":
+                if index == prev_index:
+                    if eye is None:
+                        eye = t - 1
+                elif abs(index - prev_index) == 1:
+                    zero = True
+            elif prev_kind == "x" and index == prev_index:
+                zero = True
+        prev_kind, prev_index = kind, index
+    if cuts:
+        cuts.pop()  # the end of the word
+    return cuts, zero, eye
 
 
 # A step's return when the run goes on.
@@ -245,13 +247,22 @@ class _Machine:
     """
 
     def __init__(self, letters: Letters, budget: Budget, trace, run_id: int):
-        t0 = max(t for t, let in enumerate(letters) if let.kind == "l")
+        # one pass for the rightmost left cusp t0, the strands it adds to and
+        # the left-cusp count
+        t0 = n_before = L_count = n = 0
+        for t, (kind, _) in enumerate(letters):
+            if kind == "l":
+                t0, n_before = t, n
+                L_count += 1
+                n += 2
+            elif kind == "r":
+                n -= 2
         self.X = list(letters[:t0])
         self.m = letters[t0].index
-        self.n_strands = strand_counts(letters)[t0] + 2
+        self.n_strands = n_before + 2
         self.n = {-1: 0, +1: 0}
         self.Y = list(letters[t0 + 1:])
-        self.L_count = sum(1 for let in letters if let.kind == "l")
+        self.L_count = L_count
         self.sides: list[tuple[LaurentPoly, Letters]] = []
         self.budget = budget
         self.trace = trace
@@ -415,17 +426,16 @@ class _Evaluator:
     def eval(self, letters: Letters) -> LaurentPoly:
         # The split, empty, zero and eye rules read the raw letters, so only
         # words that the machine must run on reach the memo key.
-        factors = _split_factors(letters)
-        if len(factors) > 1:
-            out = LaurentPoly.monomial(1 - len(factors))
-            for f in factors:
-                out = out * self.eval(f)
+        cuts, zero, eye = _read_rules(letters)
+        if cuts:
+            out = LaurentPoly.monomial(-len(cuts))
+            for start, end in zip([0, *cuts], [*cuts, len(letters)]):
+                out = out * self.eval(letters[start:end])
             return out
         if not letters:
             return LaurentPoly.monomial(1)
-        if _scan_zero(letters):
+        if zero:
             return LaurentPoly.zero()
-        eye = _scan_eye(letters)
         if eye is not None:
             return LaurentPoly.monomial(-1) * self.eval(letters[:eye] + letters[eye + 2:])
         if self.memo is None:

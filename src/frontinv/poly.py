@@ -90,15 +90,32 @@ class LaurentPoly:
             out[k] = out.get(k, 0) + c
         return LaurentPoly(out)
 
+    def _scaled(self, d: int, m: int) -> "LaurentPoly":
+        """The product by the monomial with key ``d`` and coefficient ``m != 0``.
+
+        Over the integers it moves and scales every term and makes no zero
+        coefficient, so the term map skips the zero filter of ``__init__``.
+        """
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._terms = {k + d: c * m for k, c in self._terms.items()}
+        out._hash = None
+        return out
+
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self._terms.items()})
+        return self._scaled(0, -1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly({k: c * other for k, c in self._terms.items()})
+            return self._scaled(0, other) if other else LaurentPoly()
+        if len(other._terms) == 1:
+            ((d, m),) = other._terms.items()
+            return self._scaled(d, m)
+        if len(self._terms) == 1:
+            ((d, m),) = self._terms.items()
+            return other._scaled(d, m)
         out: dict[int, int] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
@@ -118,8 +135,7 @@ class LaurentPoly:
 
     def shift(self, dz: int, da: int = 0) -> "LaurentPoly":
         """Multiply by z**dz * a**da."""
-        d = dz + da * _A
-        return LaurentPoly({k + d: c for k, c in self._terms.items()})
+        return self._scaled(dz + da * _A, 1)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"

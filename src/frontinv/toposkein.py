@@ -3,15 +3,16 @@
 Both evaluators recurse on planar diagrams.  Each node first removes one
 kink (Reidemeister I, a factor a**(+-1)), else one bigon whose two crossings
 have the same strand on top (Reidemeister II, a regular isotopy, so no
-factor for D or H in either orientation).  A diagram with neither gets one
-walk, ``diagram.traverse`` (components ordered by smallest port, each
-walked from its smallest port), which stops at the first crossing first
-reached on its understrand; that crossing is switched and smoothed.  Kink
-and bigon removal and smoothing take away one or two crossings, and
-switching keeps the crossings and the walk and makes one fewer crossing
-bad, so the tree is finite.  A walk that meets no such crossing has found a
-descending diagram, regular-isotopic to a split union of kinked circles,
-and has summed what its value needs on the way:
+factor for D or H in either orientation); one scan of the diagram,
+``diagram._find_reduction``, finds the first of either in port order.  A
+diagram with neither gets one walk, ``diagram.traverse`` (components ordered
+by smallest port, each walked from its smallest port), which stops at the
+first crossing first reached on its understrand; that crossing is switched
+and smoothed.  Kink and bigon removal and smoothing take away one or two
+crossings, and switching keeps the crossings and the walk and makes one
+fewer crossing bad, so the tree is finite.  A walk that meets no such
+crossing has found a descending diagram, regular-isotopic to a split union
+of kinked circles, and has summed what its value needs on the way:
 a**(sum of self-crossing signs) * delta**(components - 1).  Each evaluation
 spends from one ``errors.Budget`` (10**6 units): a memo miss costs its
 diagram's crossing count, which bounds that node's scans and walk, and the
@@ -40,8 +41,7 @@ from typing import NamedTuple
 
 from .diagram import (
     PlanarDiagram,
-    _find_bigon,
-    _find_kink,
+    _find_reduction,
     _smooth,
     _strip_bigon,
     _strip_kink,
@@ -91,13 +91,12 @@ class _SkeinEngine:
         return value
 
     def _compute(self, d: PlanarDiagram) -> LaurentPoly:
-        kink = _find_kink(d)
-        if kink is not None:
-            c, sign = kink
-            return self.eval(_strip_kink(d, c)).shift(0, sign)
-        bigon = _find_bigon(d)
-        if bigon is not None:
-            return self.eval(_strip_bigon(d, *bigon))
+        found = _find_reduction(d)
+        if found is not None:
+            p, da = found
+            if da:
+                return self.eval(_strip_kink(d, p)).shift(0, da)
+            return self.eval(_strip_bigon(d, p))
         c, exponent, k = traverse(d, self.homfly)
         if c is None:
             return self.loops(k + d.free_loops - 1).shift(0, exponent)
@@ -128,7 +127,7 @@ def kauffman_D(d: PlanarDiagram) -> LaurentPoly:
     """Dubrovnik polynomial of a diagram, D(unknot) = 1."""
     # D never reads orientation; without it, diagrams that differ only in arc
     # directions share one memo entry.
-    return _run(_SkeinEngine(False), d._replace(flow_in=frozenset()))
+    return _run(_SkeinEngine(False), d._replace(flow_in=0))
 
 
 def homfly_H(d: PlanarDiagram) -> LaurentPoly:

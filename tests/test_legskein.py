@@ -13,8 +13,18 @@ from conftest import closed_words, corpus_words, random_fronts, recursion_headro
 from frontinv import errors, legskein
 from frontinv.diagram import from_oriented_front
 from frontinv.errors import Budget, FuelExhausted
-from frontinv.front import FrontWord, L, Letter, R, X, orient, parse_front, swap_adjacent_all
-from frontinv.legskein import _Evaluator, _Machine, _scan_eye, _scan_zero, canonicalize, evaluate_B
+from frontinv.front import (
+    FrontWord,
+    L,
+    Letter,
+    R,
+    X,
+    orient,
+    parse_front,
+    strand_counts,
+    swap_adjacent_all,
+)
+from frontinv.legskein import _Evaluator, _Machine, _read_rules, canonicalize, evaluate_B
 from frontinv.poly import LaurentPoly, parse_poly1
 from frontinv.rulings import enumerate_rulings, oriented_ruling_polynomial, ruling_polynomial
 from frontinv.toposkein import homfly_H, kauffman_D
@@ -224,6 +234,56 @@ def test_matches_sweep_on_every_small_front():
     assert not bad
 
 
+# The split, zero and eye rules, each defined on its own, as references for
+# the evaluator's one pass (_read_rules).
+
+
+def _split_factors(letters) -> list[tuple]:
+    """The split factors: the pieces between the places where no strand runs."""
+    counts = strand_counts(letters)
+    ends = [t for t in range(1, len(letters) + 1) if counts[t] == 0]
+    return [letters[i:j] for i, j in zip([0] + ends, ends)]
+
+
+def _scan_zero(letters) -> bool:
+    """Whether an adjacent pair l_m x_m, x_m r_m or l_m r_(m+-1) occurs."""
+    return any(
+        (p.kind, q.kind) in (("l", "x"), ("x", "r")) and p.index == q.index
+        or (p.kind, q.kind) == ("l", "r") and abs(p.index - q.index) == 1
+        for p, q in zip(letters, letters[1:])
+    )
+
+
+def _scan_eye(letters) -> int | None:
+    """Position of the first adjacent l_m r_m pair (a split unknot), if any."""
+    return next(
+        (k for k, (p, q) in enumerate(zip(letters, letters[1:]))
+         if (p.kind, q.kind) == ("l", "r") and p.index == q.index),
+        None,
+    )
+
+
+def test_rules_are_read_in_one_pass(monkeypatch):
+    # every word evaluate_B meets on the census, with the memo on and off:
+    # the one pass gives the references' cuts, zero flag and first eye
+    met = set()
+    real = _Evaluator.eval
+
+    def recording(self, letters):
+        met.add(letters)
+        return real(self, letters)
+
+    monkeypatch.setattr(_Evaluator, "eval", recording)
+    for w in closed_words(8, 4):
+        evaluate_B(w)
+        evaluate_B(w, memo=False)
+    assert len(met) > 8_000
+    for letters in met:
+        cuts = list(itertools.accumulate(len(f) for f in _split_factors(letters)))[:-1]
+        expected = (cuts, _scan_zero(letters), _scan_eye(letters))
+        assert _read_rules(letters) == expected, FrontWord(letters).render()
+
+
 def test_memo_key_built_only_for_machine_words(monkeypatch):
     # the empty, zero and eye rules read the raw letters before the memo key
     # is built, so no key is built for a word that they decide
@@ -390,7 +450,7 @@ def test_memo_keys_are_pinned(monkeypatch):
     keyed = 0
     for word in _census() + [parse_front(text) for text in KEYED_CLOSURES]:
         letters = word.letters
-        if len(legskein._split_factors(letters)) > 1 or _scan_zero(letters):
+        if len(_split_factors(letters)) > 1 or _scan_zero(letters):
             continue
         if _scan_eye(letters) is not None:
             continue

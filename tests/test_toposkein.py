@@ -17,10 +17,10 @@ from conftest import (
 
 from frontinv.diagram import (
     PlanarDiagram,
-    _find_bigon,
-    _find_kink,
+    _find_reduction,
     _smooth,
     _strip_bigon,
+    _strip_kink,
     _switch,
     from_oriented_front,
     traverse,
@@ -93,15 +93,17 @@ def test_bigon_after_switch():
     # switching one crossing of the Hopf clasp leaves a Reidemeister II pair
     # that pulls apart into two free loops
     d = _switch(top("l1 l3 x2 x2 r1 r1"), 0)
-    assert _find_bigon(d) == (0, 1)
-    stripped = _strip_bigon(d, 0, 1)
+    p, da = _find_reduction(d)
+    assert da == 0 and (p >> 2, d.nbr[p] >> 2) == (0, 1)
+    stripped = _strip_bigon(d, p)
     assert stripped.n_crossings == 0 and stripped.free_loops == 2
     # in T(2,3), switching the middle crossing pairs it with either neighbour;
     # removing the first pair leaves a one-crossing kink
     d = _switch(top("l1 l3 x2 x2 x2 r1 r1"), 1)
-    assert _find_bigon(d) == (0, 1)
-    stripped = _strip_bigon(d, 0, 1)
-    assert stripped.n_crossings == 1 and _find_kink(stripped) is not None
+    p, da = _find_reduction(d)
+    assert da == 0 and (p >> 2, d.nbr[p] >> 2) == (0, 1)
+    stripped = _strip_bigon(d, p)
+    assert stripped.n_crossings == 1 and _find_reduction(stripped)[1] != 0
     assert kauffman_D(d) == kauffman_D(stripped)
     assert homfly_H(d) == homfly_H(stripped)
 
@@ -109,15 +111,79 @@ def test_bigon_after_switch():
 def test_no_bigon_in_alternating_clasps():
     # in the unswitched clasps the over-strand alternates around every bigon
     for text in ("l1 l3 x2 x2 r1 r1", "l1 l3 x2 x2 x2 r1 r1"):
-        assert _find_bigon(top(text)) is None
+        assert _find_reduction(top(text)) is None
 
 
 def test_no_bigon_in_kinks():
-    # one kink, two split kinks, and two kinks of either sign on one circle
+    # one kink, two split kinks, and two kinks of either sign on one circle:
+    # every reduction on the way down to no crossings is a kink
     for text in ("l1 x1 r1", "l1 x1 r1 l1 x1 r1", "l1 l2 x1 r2 l2 x1 r2 r1", "l1 l2 x1 r2 x1 r1"):
         d = top(text)
-        assert _find_kink(d) is not None
-        assert _find_bigon(d) is None
+        while d.n_crossings:
+            p, da = _find_reduction(d)
+            assert da != 0, text
+            d = _strip_kink(d, p)
+
+
+def _is_under(d, p) -> bool:
+    """Is port ``p`` on the under-strand of its crossing (places view[0], view[2])?"""
+    c, i = divmod(p, 4)
+    return i in d.view(c)[0::2]
+
+
+def _is_kink(d, p) -> bool:
+    """Does the arc at ``p`` run to the next place of its crossing, counterclockwise?"""
+    c, i = divmod(p, 4)
+    return d.nbr[p] == 4 * c + (i + 1) % 4
+
+
+def _is_bigon(d, p) -> bool:
+    """Do the arcs at places i, i+1 of p's crossing run to places k+1, k of a
+    later crossing, with p's strand under at both or over at both?"""
+    c, i = divmod(p, 4)
+    c2, k1 = divmod(d.nbr[p], 4)
+    return (
+        c2 > c
+        and d.nbr[4 * c + (i + 1) % 4] == 4 * c2 + (k1 - 1) % 4
+        and _is_under(d, p) == _is_under(d, d.nbr[p])
+    )
+
+
+def test_find_reduction_census(monkeypatch):
+    # every diagram the D and H trees visit: the first kink in port order,
+    # with a = +1 when it leaves an under port, or else the first bigon; and
+    # stripping that bigon in one rewiring equals smoothing both crossings
+    # straight through, the later one first
+    visited = []
+    real = toposkein._find_reduction
+
+    def recording(d):
+        visited.append(d)
+        return real(d)
+
+    monkeypatch.setattr(toposkein, "_find_reduction", recording)
+    for word in closed_words(6, 4) + [word for _, word in corpus_words()]:
+        for of in all_orientations(word):
+            d = from_oriented_front(of)
+            kauffman_D(d)
+            homfly_H(d)
+    through = ((0, 2), (1, 3))
+    kinds = Counter()
+    for d in visited:
+        ports = range(4 * d.n_crossings)
+        kink = next((p for p in ports if _is_kink(d, p)), None)
+        bigon = next((p for p in ports if _is_bigon(d, p)), None)
+        if kink is not None:
+            expected = (kink, 1 if _is_under(d, kink) else -1)
+        elif bigon is not None:
+            expected = (bigon, 0)
+            c, c2 = bigon >> 2, d.nbr[bigon] >> 2
+            assert _strip_bigon(d, bigon) == _smooth(_smooth(d, c2, through), c, through)
+        else:
+            expected = None
+        assert real(d) == expected, d
+        kinds[expected if expected is None else expected[1]] += 1
+    assert kinds == {-1: 1906, 1: 251, 0: 250, None: 166}
 
 
 def test_split_values():
@@ -398,7 +464,7 @@ def test_traverse_stops_at_first_crossing_reached_under():
     ],
 )
 def test_traverse_values_descending_diagrams(text, under02, expected):
-    d = top(text)._replace(under02=under02)
+    d = top(text)._replace(under02=sum(bit << c for c, bit in enumerate(under02)))
     assert traverse(d, False) == expected
     assert traverse(d, True) == expected
 
@@ -445,13 +511,13 @@ def relabel(d, rng):
         return 4 * perm[c] + (i + rot[c]) % 4
 
     nbr = [0] * (4 * n)
-    under02 = [True] * n
+    under02 = flow_in = 0
     for p, q in enumerate(d.nbr):
         nbr[port(p)] = port(q)
+        flow_in |= (d.flow_in >> p & 1) << port(p)
     for c in range(n):
-        under02[perm[c]] = d.under02[c] != (rot[c] % 2 == 1)
-    flow_in = frozenset(port(p) for p in d.flow_in)
-    return PlanarDiagram(tuple(nbr), tuple(under02), flow_in, d.free_loops)
+        under02 |= ((d.under02 >> c & 1) ^ rot[c] % 2) << perm[c]
+    return PlanarDiagram(tuple(nbr), under02, flow_in, d.free_loops)
 
 
 def test_values_do_not_depend_on_port_numbering():
@@ -482,7 +548,11 @@ def test_top_k_diagrams_are_pinned():
     for word in words:
         for of in all_orientations(word):
             d = from_oriented_front(of)
-            digest.update(repr((d.nbr, d.under02, tuple(sorted(d.flow_in)), d.free_loops)).encode())
+            # the digest was taken with under02 a tuple of bools and flow_in
+            # a set of ports
+            under02 = tuple(bool(d.under02 >> c & 1) for c in range(d.n_crossings))
+            flow_in = tuple(p for p in range(4 * d.n_crossings) if d.flow_in >> p & 1)
+            digest.update(repr((d.nbr, under02, flow_in, d.free_loops)).encode())
             n += 1
     assert (n, digest.hexdigest()) == (
         39276, "d1506a4048a8258eb85666e1394cb425a9f0de06dd44da48a16ef6fda0972dce")
