@@ -136,8 +136,12 @@ def cmd_verify(args) -> int:
     report = {"schema": 1, "theorem": args.theorem, "fronts": {}}
     all_ok = True
     for path in paths:
-        word, flags = _read_front(path)
-        record = check_front(word, flags, timings=args.timings)
+        try:
+            word, flags = _read_front(path)
+            record = check_front(word, flags, timings=args.timings)
+        except FrontError as exc:
+            exc.args = (f"{path.name}: {exc}",)  # name the front in the one error line
+            raise
         record["ok"] = front_ok(record, args.theorem)
         all_ok = all_ok and record["ok"]
         report["fronts"][path.stem] = record

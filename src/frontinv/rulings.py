@@ -11,17 +11,18 @@ The ruling polynomial is the sum of z**(s - c + 1) over rulings with s
 switches, where c is the number of left cusps.
 
 Two independent implementations are provided.  A left-to-right sweep over
-position pairings (:func:`sweep_step`) fills one table per front and
-orientation (:func:`_live_steps`), which :func:`enumerate_rulings` walks
-depth first and both polynomials walk forward.  A direct checker
-(:func:`is_ruling`) resolves a candidate switch set and tests the defining
-conditions literally; it shares no logic with the sweep and is its oracle.
+position pairings (:func:`sweep_step`) underlies both the polynomials, which
+walk forward one slice at a time, and :func:`enumerate_rulings`, which keeps
+every letter's table so that its depth-first walk enters only pairings that
+end in a ruling.  A direct checker (:func:`is_ruling`) resolves a candidate
+switch set and tests the defining conditions literally; it shares no logic
+with the sweep and is its oracle.
 
 The sweep's state is the pairing alone.  It reads an orientation only
 through :func:`~frontinv.front.crossing_signs`, as the mask of crossings
 where a switch may be taken, so reversing every component, which keeps
-every sign, keeps the oriented rulings.  Building the table spends one unit
-of an ``errors.Budget`` (10**6 units) per pairing reached before each letter.
+every sign, keeps the oriented rulings.  Either walk spends one unit of an
+``errors.Budget`` (10**6 units) per pairing reached before each letter.
 
 Everything here is pure; enumeration order is deterministic (depth-first,
 non-switch branch before switch).
@@ -99,20 +100,30 @@ class Ruling(NamedTuple):
         return len(self.switches)
 
 
-def _live_steps(word: FrontWord, of: OrientedFront | None) -> list[dict]:
-    """Per letter, a map from every pairing that is reachable there and still
-    ends in a ruling to its (plain, switched) next pairings; a step that
-    leads to no ruling is None.  A ruling may switch at every crossing, or
-    given an orientation ``of``, at its positive crossings only.  The
-    sweep's one caller of :func:`sweep_step`; with no ruling, the first map
-    is empty."""
-    budget = Budget()
+def _switchable(word: FrontWord, of: OrientedFront | None) -> list[bool]:
+    """Per letter, whether a ruling may switch there: at every crossing, or
+    given an orientation ``of``, at its positive crossings only."""
     positive = repeat(True) if of is None else (s == 1 for s in crossing_signs(of))
+    return [let.kind == "x" and next(positive) for let in word.letters]
+
+
+def enumerate_rulings(word: FrontWord, of: OrientedFront | None = None) -> list[Ruling]:
+    """All rulings, in depth-first order exploring non-switch before switch.
+
+    Given an orientation ``of`` of the word, only its oriented rulings.  The
+    walk enters only pairings that still end in a ruling, so past one pass
+    over the reachable pairings its cost is at most the number of rulings
+    times the word's length.
+    """
+    letters = word.letters
+    # Per letter, a map from each pairing reached there to its (plain,
+    # switched) next pairings, pruned backward to the pairings that still
+    # end in a ruling; a step that leads to none is None.
+    budget = Budget()
     steps = []
     reached: set[tuple[int, ...]] = {()}
-    for let in word.letters:
+    for let, may_switch in zip(letters, _switchable(word, of)):
         budget.spend(len(reached))
-        may_switch = let.kind == "x" and next(positive)
         step = {
             p: (sweep_step(p, let), sweep_step(p, let, switch=True) if may_switch else None)
             for p in reached
@@ -129,26 +140,11 @@ def _live_steps(word: FrontWord, of: OrientedFront | None) -> list[dict]:
             else:
                 step[p] = (plain, switched)
         live = set(step)
-    return steps
-
-
-def enumerate_rulings(word: FrontWord, of: OrientedFront | None = None) -> list[Ruling]:
-    """All rulings, in depth-first order exploring non-switch before switch.
-
-    Given an orientation ``of`` of the word, only its oriented rulings.  The
-    walk enters only pairings that still end in a ruling, so past one pass
-    over the reachable pairings its cost is at most the number of rulings
-    times the word's length.
-    """
-    letters = word.letters
-    steps = _live_steps(word, of)
     ordinals = tuple(accumulate(let.kind == "x" for let in letters))
     out: list[Ruling] = []
     # An explicit stack, so the depth of a word is not bounded by Python's
     # recursion limit.  The switch branch is pushed first and popped last.
-    stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-    if not steps or () in steps[0]:
-        stack.append((0, (), ()))
+    stack = [(0, (), ())] if live else []
     while stack:
         t, pairing, chosen = stack.pop()
         if t == len(letters):
@@ -276,23 +272,24 @@ def enumerate_rulings_bruteforce(word: FrontWord, of: OrientedFront | None = Non
 
 
 def _polynomial(word: FrontWord, of: OrientedFront | None) -> LaurentPoly:
-    """A forward walk of the live table: equal pairings merge their weights,
-    and a switch multiplies a weight by z."""
-    steps = _live_steps(word, of)
-    if steps and () not in steps[0]:
-        return LaurentPoly.zero()
+    """A forward walk that holds one slice: equal pairings merge their
+    weights, and a switch multiplies a weight by z."""
+    budget = Budget()
     current: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one()}
-    for step in steps:
+    for let, may_switch in zip(word.letters, _switchable(word, of)):
+        budget.spend(len(current))
         nxt: dict[tuple[int, ...], LaurentPoly] = {}
         for pairing, weight in current.items():
-            plain, switched = step[pairing]
+            plain = sweep_step(pairing, let)
             if plain is not None:
                 nxt[plain] = nxt[plain] + weight if plain in nxt else weight
+            switched = sweep_step(pairing, let, switch=True) if may_switch else None
             if switched is not None:
                 w = weight.shift(1)
                 nxt[switched] = nxt[switched] + w if switched in nxt else w
         current = nxt
-    return current[()].shift(1 - word.num_left_cusps)
+    # a closed word ends on the empty pairing, or on nothing if it has no ruling
+    return current[()].shift(1 - word.num_left_cusps) if current else LaurentPoly.zero()
 
 
 def ruling_polynomial(word: FrontWord) -> LaurentPoly:

@@ -118,6 +118,29 @@ def closed_words(max_letters: int, max_strands: int) -> list[FrontWord]:
     return out
 
 
+def n_copy(word: FrontWord, n: int) -> FrontWord:
+    """The Legendrian n-copy of ``word``: n vertical push-offs, so strand k
+    becomes the bundle of positions n(k-1)+1 .. nk, copy 0 lowest.
+
+    A crossing of two strands is n**2 crossings of their bundles.  A left
+    cusp is n cusps one above the other, one per copy, whose branches are
+    then sorted by adjacent swaps from (upper, lower) pairs into an upper
+    and a lower bundle; a right cusp sorts them back and closes the n cusps."""
+    letters: list[Letter] = []
+    for let in word.letters:
+        p = n * (let.index - 1)
+        if let.kind == "x":
+            letters += [Letter("x", i) for j in range(n) for i in range(p + n + j, p + j, -1)]
+            continue
+        # move the upper branch of the k-th cusp up past the k lower branches above it
+        sort = [Letter("x", p + i) for k in range(1, n) for i in range(2 * k, k, -1)]
+        if let.kind == "l":
+            letters += [Letter("l", p + 2 * j + 1) for j in range(n)] + sort
+        else:
+            letters += sort[::-1] + [Letter("r", p + 1)] * n
+    return FrontWord(tuple(letters))
+
+
 def checked_front(word: FrontWord) -> dict:
     """``check_front``'s record of ``word``, asserted to pass every theorem:
     R == B_leg == B_topo, and OR == Q on every orientation."""

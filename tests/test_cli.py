@@ -464,6 +464,16 @@ def test_oversized_input_ends_in_fuel_exhausted(capsys, tmp_path, monkeypatch, t
     code, out, err = run_cli(capsys, command, str(tmp_path if command == "verify" else f), *options)
     assert code == 2 and out == ""
     assert err.startswith("error [FUEL_EXHAUSTED]: ") and err.count("\n") == 1
+    if command == "verify":  # the line names the front that was refused
+        assert err.startswith("error [FUEL_EXHAUSTED]: big.front: ")
+
+
+def test_verify_names_the_front_it_cannot_parse(capsys, tmp_path):
+    (tmp_path / "trefoil.front").write_text((CORPUS / "trefoil.front").read_text())
+    (tmp_path / "bad.front").write_text("l1 x7 r1\n")
+    code, out, err = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == "error [INDEX_OUT_OF_RANGE]: bad.front: line 1, col 4: letter x7 out of range on 2 strands\n"
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,11 +14,24 @@ from conftest import (
     corpus_words,
     enumerated_polynomial,
     expected_fixture,
+    n_copy,
     random_fronts,
     recursion_headroom,
 )
 
-from frontinv.front import FrontWord, R, X, all_orientations, crossing_signs, orient, parse_front
+from frontinv import errors
+from frontinv.front import (
+    FrontWord,
+    R,
+    X,
+    all_orientations,
+    components,
+    crossing_signs,
+    invariants,
+    orient,
+    parse_front,
+    random_move_sequence,
+)
 from frontinv.poly import LaurentPoly, parse_poly1
 from frontinv.rulings import (
     Ruling,
@@ -232,36 +246,48 @@ def test_polynomial_walk_ends(text, value):
     assert str(oriented_ruling_polynomial(orient(w))) == value
 
 
-def test_polynomial_weighs_only_live_entries(monkeypatch):
-    # figure8: the forward pass reaches switches after which no ruling
-    # continues; the walk computes no weight for them, so it shifts one
-    # weight per live switch, and the total once by z^(1-c)
-    import frontinv.rulings as rulings
+def test_polynomial_refusal_holds_one_slice(monkeypatch):
+    # The polynomial walk keeps one slice, the listing every letter's table,
+    # so the walk refuses the 9-strand closure at a lower traced peak.
+    monkeypatch.setattr(errors, "DEFAULT_FUEL", errors.DEFAULT_FUEL // 20)
+    w = parse_front(
+        "l1 l2 l3 l4 l5 l6 l7 l8 l9 " + "x1 x2 x3 x4 x5 x6 x7 x8 " * 8 + "r9 r8 r7 r6 r5 r4 r3 r2 r1"
+    )
+    peaks = []
+    for walk in (ruling_polynomial, enumerate_rulings):
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.FuelExhausted):
+                walk(w)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 0.9 * peaks[1], peaks
 
-    w = parse_front("l1 l1 l1 x2 x2 x1 x1 x1 x4 r2 r1 r1")
-    reached = []
-    real = rulings.sweep_step
 
-    def counted(pairing, letter, switch=False):
-        out = real(pairing, letter, switch)
-        reached.append(switch and out is not None)
-        return out
+def test_both_walks_spend_the_same_units(monkeypatch):
+    # Letter by letter the same units, so a front refuses in both walks or
+    # in neither.
+    spent = []
+    real = errors.Budget.spend
 
-    monkeypatch.setattr(rulings, "sweep_step", counted)
-    steps = rulings._live_steps(w, None)
-    live = sum(switched is not None for step in steps for _, switched in step.values())
-    assert live < sum(reached)
-    expected = enumerated_polynomial(w)
-    shifts = []
-    real_shift = LaurentPoly.shift
+    def recorded(self, units=1):
+        spent.append(units)
+        return real(self, units)
 
-    def counted_shift(self, dz, da=0):
-        shifts.append(dz)
-        return real_shift(self, dz, da)
+    monkeypatch.setattr(errors.Budget, "spend", recorded)
 
-    monkeypatch.setattr(LaurentPoly, "shift", counted_shift)
-    assert ruling_polynomial(w) == expected
-    assert len(shifts) == live + 1
+    def spends(walk, *args):
+        spent.clear()
+        walk(*args)
+        return list(spent)
+
+    for w in [w for _, w in corpus_words()] + closed_words(6, 4):
+        units = spends(ruling_polynomial, w)
+        assert len(units) == len(w.letters)
+        assert spends(enumerate_rulings, w) == units, w.render()
+        for of in all_orientations(w):
+            assert spends(oriented_ruling_polynomial, of) == spends(enumerate_rulings, w, of)
 
 
 def test_fixtures_match_oracle_and_sweep():
@@ -361,3 +387,36 @@ def test_disjoint_union_rule():
             assert ruling_polynomial(combined) == parse_poly1("z^-1") * ruling_polynomial(
                 w1
             ) * ruling_polynomial(w2)
+
+
+# -- Legendrian n-copies: wide fronts whose R is an invariant of the front
+
+
+def test_two_copy_of_the_unknot_is_the_hopf_front():
+    assert n_copy(parse_front("l1 r1"), 2) == parse_front((CORPUS / "hopf.front").read_text())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_n_copy_multiplies_tb_by_n_squared(n):
+    knots = [w for _, w in corpus_words() if components(w).n_components == 1]
+    assert len(knots) == 6
+    for w in knots:
+        assert invariants(orient(n_copy(w, n))).beta == n * n * invariants(orient(w)).beta, w.render()
+
+
+@pytest.mark.parametrize("name,word", corpus_words())
+def test_two_copy_ruling_polynomial_is_invariant_under_moves(name, word):
+    # a Legendrian isotopy of K induces one of its 2-copy
+    R2 = ruling_polynomial(n_copy(word, 2))
+    for seed in range(3):
+        moved, _ = random_move_sequence(word, 12, seed)
+        assert ruling_polynomial(n_copy(moved, 2)) == R2, seed
+
+
+def test_two_copies_of_stabilized_fronts_have_rulings():
+    # R = 0 on a stabilized front, but not on its 2-copy
+    stabilized = [w for name, w in corpus_words() if "stab" in name]
+    assert len(stabilized) == 3
+    for w in stabilized:
+        assert ruling_polynomial(w).is_zero()
+        assert str(ruling_polynomial(n_copy(w, 2))) == "z", w.render()
