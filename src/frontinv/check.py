@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 
+from .errors import FrontError
 from .front import FrontWord, all_orientations, components, crossing_signs, invariants, orient
 from .legskein import evaluate_B
 from .rulings import oriented_ruling_polynomial, ruling_polynomial
@@ -36,7 +37,11 @@ def check_front(word: FrontWord, flags=None, *, timings: bool = False) -> dict:
 
     def timed(route, fn, *args):
         t = time.perf_counter()
-        value = fn(*args)
+        try:
+            value = fn(*args)
+        except FrontError as exc:
+            exc.args = (f"{route}: {exc}",)  # name the route in the one error line
+            raise
         ms[route] += time.perf_counter() - t
         return value
 

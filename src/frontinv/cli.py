@@ -203,8 +203,16 @@ def cmd_stabilize(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors end, like every other bad input, in one
+    coded line; its subparsers are made of the same class."""
+
+    def error(self, message):
+        raise BadArgument(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="frontinv",
         description="Invariants of Legendrian front diagrams given as tangle words.",
     )
@@ -264,8 +272,8 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except FrontError as exc:
         sys.stderr.write(f"error [{exc.code}]: {exc}\n")

@@ -125,14 +125,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of polynomials are not defined")
-        out = LaurentPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def shift(self, dz: int, da: int = 0) -> "LaurentPoly":
         """Multiply by z**dz * a**da."""
         return self._scaled(dz + da * _A, 1)

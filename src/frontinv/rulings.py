@@ -13,10 +13,10 @@ switches, where c is the number of left cusps.
 Two independent implementations are provided.  A left-to-right sweep over
 position pairings (:func:`sweep_step`) underlies both the polynomials, which
 walk forward one slice at a time, and :func:`enumerate_rulings`, which keeps
-every letter's table so that its depth-first walk enters only pairings that
-end in a ruling.  A direct checker (:func:`is_ruling`) resolves a candidate
-switch set and tests the defining conditions literally; it shares no logic
-with the sweep and is its oracle.
+every letter's table and reads the rulings off it in one backward pass.  A
+direct checker (:func:`is_ruling`) resolves a candidate switch set and tests
+the defining conditions literally; it shares no logic with the sweep and is
+its oracle.
 
 The sweep's state is the pairing alone.  It reads an orientation only
 through :func:`~frontinv.front.crossing_signs`, as the mask of crossings
@@ -110,15 +110,14 @@ def _switchable(word: FrontWord, of: OrientedFront | None) -> list[bool]:
 def enumerate_rulings(word: FrontWord, of: OrientedFront | None = None) -> list[Ruling]:
     """All rulings, in depth-first order exploring non-switch before switch.
 
-    Given an orientation ``of`` of the word, only its oriented rulings.  The
-    walk enters only pairings that still end in a ruling, so past one pass
-    over the reachable pairings its cost is at most the number of rulings
-    times the word's length.
+    Given an orientation ``of`` of the word, only its oriented rulings.  A
+    forward pass tables each letter's steps; one backward pass over the table
+    maps each pairing to the switch sets that end a ruling from it, so past
+    the table the cost is at most the number of rulings times the length.
     """
     letters = word.letters
     # Per letter, a map from each pairing reached there to its (plain,
-    # switched) next pairings, pruned backward to the pairings that still
-    # end in a ruling; a step that leads to none is None.
+    # switched) next pairings; a step that leads to none is None.
     budget = Budget()
     steps = []
     reached: set[tuple[int, ...]] = {()}
@@ -130,32 +129,19 @@ def enumerate_rulings(word: FrontWord, of: OrientedFront | None = None) -> list[
         }
         steps.append(step)
         reached = {q for pair in step.values() for q in pair if q is not None}
-    live = reached  # {()} or empty: a closed word ends with no strands
-    for step in reversed(steps):
-        for p, (plain, switched) in list(step.items()):
-            plain = plain if plain in live else None
-            switched = switched if switched in live else None
-            if plain is None and switched is None:
-                del step[p]
-            else:
-                step[p] = (plain, switched)
-        live = set(step)
     ordinals = tuple(accumulate(let.kind == "x" for let in letters))
-    out: list[Ruling] = []
-    # An explicit stack, so the depth of a word is not bounded by Python's
-    # recursion limit.  The switch branch is pushed first and popped last.
-    stack = [(0, (), ())] if live else []
-    while stack:
-        t, pairing, chosen = stack.pop()
-        if t == len(letters):
-            out.append(Ruling(chosen))
-            continue
-        plain, switched = steps[t][pairing]
-        if switched is not None:
-            stack.append((t + 1, switched, chosen + (ordinals[t],)))
-        if plain is not None:
-            stack.append((t + 1, plain, chosen))
-    return out
+    # From the last letter back: each pairing's switch sets that end a ruling
+    # from it, the plain branch's before the switched branch's.  A closed
+    # word ends on the empty pairing.
+    ends: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): [()]}
+    for t in reversed(range(len(letters))):
+        nxt = {}
+        for p, (plain, switched) in steps[t].items():
+            found = ends.get(plain, []) + [(ordinals[t],) + e for e in ends.get(switched, ())]
+            if found:
+                nxt[p] = found
+        ends = nxt
+    return [Ruling(e) for e in ends.get((), [])]
 
 
 def is_ruling(

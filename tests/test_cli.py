@@ -391,6 +391,11 @@ TREFOIL = str(CORPUS / "trefoil.front")
         # an unknown rule, and an inserted kink with no m
         ("moves", TREFOIL, "--apply", "typ3@2"),
         ("moves", TREFOIL, "--apply", "type1_hi@1,inverse"),
+        # usage errors that the argument parser itself catches
+        ("moves", TREFOIL, "--random", "abc"),
+        ("poly", TREFOIL, "--which", "bogus"),
+        ("verify",),
+        ("bogus", TREFOIL),
     ],
 )
 def test_bad_arguments_end_in_one_coded_line(capsys, args):
@@ -439,10 +444,17 @@ def test_force_is_not_an_option(capsys, command):
     args = [command, str(CORPUS / "trefoil.front")]
     if command == "poly":
         args += ["--which", "kauffman"]
+    code, out, err = run_cli(capsys, *args, "--force")
+    assert code == 2 and out == ""
+    assert err == "error [BAD_ARGUMENT]: unrecognized arguments: --force\n"
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(capsys, flag):
     with pytest.raises(SystemExit) as exc:
-        main([*args, "--force"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --force" in capsys.readouterr().err
+        main([flag])
+    assert exc.value.code == 0
+    assert "frontinv" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -464,8 +476,8 @@ def test_oversized_input_ends_in_fuel_exhausted(capsys, tmp_path, monkeypatch, t
     code, out, err = run_cli(capsys, command, str(tmp_path if command == "verify" else f), *options)
     assert code == 2 and out == ""
     assert err.startswith("error [FUEL_EXHAUSTED]: ") and err.count("\n") == 1
-    if command == "verify":  # the line names the front that was refused
-        assert err.startswith("error [FUEL_EXHAUSTED]: big.front: ")
+    if command == "verify":  # the line names the front and the route that refused
+        assert err.startswith("error [FUEL_EXHAUSTED]: big.front: rewrite: ")
 
 
 def test_verify_names_the_front_it_cannot_parse(capsys, tmp_path):

@@ -96,6 +96,21 @@ def test_enumerate_trefoil():
     assert [r.switches for r in rulings] == [(3,), (1,), (1, 2, 3)]
 
 
+def test_enumeration_order_on_census():
+    # Depth-first, plain before switch: at the first crossing where two
+    # rulings differ, the one that does not switch there comes first, which
+    # is the order of the negated switch lists.
+    cases = 0
+    for word in closed_words(7, 4) + [w for _, w in corpus_words()]:
+        for of in [None, *all_orientations(word)]:
+            expected = sorted(
+                enumerate_rulings_bruteforce(word, of), key=lambda r: [-s for s in r.switches]
+            )
+            assert enumerate_rulings(word, of) == expected
+            cases += 1
+    assert cases == 8203
+
+
 def test_is_ruling_examples():
     unknot = parse_front("l1 r1")
     assert is_ruling(unknot, ())
