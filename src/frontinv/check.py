@@ -17,8 +17,8 @@ from .legskein import evaluate_B
 from .rulings import oriented_ruling_polynomial, ruling_polynomial
 from .toposkein import Q_of, sharpness
 
-# Theorem 4.1 is checked on every reversal pair of orientations, 2^(k-1)
-# pairs for k components, up to this many; past it the front is unchecked.
+# Bounds the 2^k orientations listed for k components, one record each, to
+# 2 * this many (2^(k-1) reversal pairs); past it Theorem 4.1 is unchecked.
 ORIENTATION_PAIR_BUDGET = 16
 
 
@@ -65,35 +65,25 @@ def check_front(word: FrontWord, flags=None, *, timings: bool = False) -> dict:
         "homfly_sharp": rep.homfly_sharp,
     }
     if orientations:
-        # Reversing every component keeps H (HOMFLY is invariant under global
-        # reversal, and the writhe is unchanged) and every crossing sign, and
-        # the sweep reads an orientation only as the mask of crossings where a
-        # switch may be taken.  So each reversal pair is evaluated once, on
-        # the orientation with choices[0] true, and a default orientation with
-        # no negative crossing (a positive braid closure) has R's mask: OR = R.
-        by_choices = {of.choices: of for of in orientations}
+        # OR and H read an orientation only through its crossing signs: the
+        # oriented sweep is the plain one with switches only at positive
+        # crossings, and reversing all of one split part keeps H.  So each
+        # class of equal signs is evaluated once, on its first orientation
+        # with choices[0] true (a global reversal keeps every sign).
+        default_signs = crossing_signs(default)
         values: dict = {}
-        oriented_records = []
-        agree_4_1 = True
         for of in orientations:
-            key = of.choices if of.choices[0] else tuple(not c for c in of.choices)
-            if key not in values:
-                pair = by_choices[key]
-                positive = all(key) and -1 not in crossing_signs(pair)
-                OR = R if positive else timed("sweep", oriented_ruling_polynomial, pair)
-                Q = rep.Q if all(key) else timed("skein", Q_of, pair)
-                values[key] = (OR, Q)
-            OR, Q = values[key]
-            agree_4_1 = agree_4_1 and OR == Q
-            oriented_records.append(
-                {
-                    "choices": "".join("+" if c else "-" for c in of.choices),
-                    "OR": str(OR),
-                    "Q": str(Q),
-                }
-            )
-        record["oriented"] = oriented_records
-        record["agree_4_1"] = agree_4_1
+            signs = crossing_signs(of)
+            if of.choices[0] and signs not in values:
+                OR = R if -1 not in signs else timed("sweep", oriented_ruling_polynomial, of)
+                Q = rep.Q if signs == default_signs else timed("skein", Q_of, of)
+                values[signs] = (OR, Q)
+        record["oriented"] = []
+        for of in orientations:
+            OR, Q = values[crossing_signs(of)]
+            choices = "".join("+" if c else "-" for c in of.choices)
+            record["oriented"].append({"choices": choices, "OR": str(OR), "Q": str(Q)})
+        record["agree_4_1"] = all(OR == Q for OR, Q in values.values())
     else:
         # null: Theorem 4.1 was not checked on this front.
         record["agree_4_1"] = None

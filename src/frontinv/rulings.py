@@ -172,21 +172,18 @@ def is_ruling(
     occ_positions: list[int] = []
     next_id = 0
     joins: list[tuple[int, int]] = []
-    left_cusp_of: dict[int, int] = {}  # strand id -> left-cusp ordinal (for counting)
-    birth_dirs: dict[int, int] = {}
+    left_cusp_uppers: set[int] = set()  # the upper strand id of each left cusp
     self_cross_events: list[tuple[int, int]] = []
     switch_events: list[tuple[int, int, tuple[int, ...]]] = []  # (P, Q, slice)
     ordinal = 0
-    n_lefts = 0
-    for t, let in enumerate(word.letters):
+    for let in word.letters:
         m = let.index - 1
         if let.kind == "l":
             u, v = next_id, next_id + 1
             next_id += 2
             occ_positions[m:m] = [u, v]
             joins.append((u, v))
-            left_cusp_of[u] = n_lefts
-            n_lefts += 1
+            left_cusp_uppers.add(u)
         elif let.kind == "x":
             ordinal += 1
             P, Q = occ_positions[m], occ_positions[m + 1]
@@ -216,7 +213,7 @@ def is_ruling(
 
     # (i) one left cusp per component, no self crossings.
     for members in comp_members.values():
-        if sum(1 for s in members if s in left_cusp_of) != 1:
+        if sum(1 for s in members if s in left_cusp_uppers) != 1:
             return False
     for P, Q in self_cross_events:
         if find(P) == find(Q):

@@ -51,7 +51,7 @@ from .diagram import (
     traverse,
     writhe,
 )
-from .errors import Budget, FuelExhausted, InternalInconsistency
+from .errors import Budget, FuelExhausted, InternalInconsistency, ParseError
 from .front import OrientedFront, invariants
 from .poly import LaurentPoly, coeff_a, deg_a
 
@@ -82,7 +82,9 @@ class _SkeinEngine:
     def eval(self, d: PlanarDiagram) -> LaurentPoly:
         if d.n_crossings == 0:
             if d.free_loops == 0:
-                raise InternalInconsistency("empty diagram has no polynomial")
+                # Only a root diagram can be empty (every cut that leaves no
+                # crossing counts a free loop), so the input is at fault.
+                raise ParseError("NOT_CLOSED", "empty front")
             return self.loops(d.free_loops - 1)
         value = self.memo.get(d)
         if value is None:

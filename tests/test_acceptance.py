@@ -21,7 +21,6 @@ from frontinv.front import (
     FrontWord,
     L,
     X,
-    R,
     all_orientations,
     apply_move,
     applicable_moves,
@@ -62,9 +61,10 @@ def criterion_1() -> tuple[bool, str]:
 def criterion_2() -> tuple[bool, str]:
     """Oriented ruling polynomial == HOMFLY coefficient, all orientations.
 
-    ``check_front`` evaluates one orientation of each pair that differs by
-    reversing every component; test_global_reversal_invariance checks that
-    both orientations of a pair give the same values.
+    ``check_front`` lists all 2^k orientations of a front with k components,
+    up to ``2 * ORIENTATION_PAIR_BUDGET`` of them, and evaluates one per
+    class of equal crossing signs; test_global_reversal_invariance checks
+    that every orientation of a class gives the same values.
     """
     checked = 0
     for name, word in corpus_words():

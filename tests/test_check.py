@@ -13,7 +13,7 @@ from conftest import closed_words
 from frontinv import check, errors
 from frontinv.check import check_front, front_ok
 from frontinv.diagram import from_oriented_front
-from frontinv.errors import FuelExhausted
+from frontinv.errors import FuelExhausted, ParseError
 from frontinv.front import (
     FrontWord,
     Letter,
@@ -98,6 +98,22 @@ def test_default_pair_with_no_negative_crossing_reuses_R(monkeypatch):
     assert set(crossing_signs(swept[0])) == {-1}
     assert rec["agree_4_1"] is True
     assert [o["OR"] for o in rec["oriented"]] == [rec["R"], "z^-1", "z^-1", rec["R"]]
+
+
+def test_empty_word_is_refused_as_not_closed():
+    # FrontWord(()) is a legal value, with R = B_leg = z, but its Top(K) is
+    # the empty diagram, which has no D or H: the input is at fault, and the
+    # code is the one parse_front gives the same input
+    empty = FrontWord(())
+    with pytest.raises(ParseError) as parsed:
+        parse_front("")
+    with pytest.raises(ParseError) as checked:
+        check_front(empty)
+    with pytest.raises(ParseError) as skein:
+        kauffman_D(from_oriented_front(orient(empty)))
+    assert parsed.value.code == checked.value.code == skein.value.code == "NOT_CLOSED"
+    assert str(checked.value) == "skein: empty front"
+    assert str(skein.value) == str(parsed.value) == "empty front"
 
 
 def _x_reflection(word: FrontWord) -> FrontWord:

@@ -9,11 +9,17 @@ from math import comb
 
 import pytest
 
-from conftest import CORPUS, LARGE_FRONTS, ROOT, corpus_words
+from conftest import CORPUS, LARGE_FRONTS, ROOT, corpus_words, expected_fixture
 
 from frontinv import check, cli, errors, rulings, toposkein
 from frontinv.cli import main
-from frontinv.front import components, crossing_signs, orient, parse_front, stabilize
+from frontinv.front import (
+    all_orientations,
+    components,
+    crossing_signs,
+    parse_front,
+    stabilize,
+)
 from frontinv.poly import LaurentPoly, coeff_a, parse_poly
 
 
@@ -34,8 +40,8 @@ def test_validate_error(tmp_path, capsys):
     bad = tmp_path / "bad.front"
     bad.write_text("l1 q2 r1\n")
     code, out, err = run_cli(capsys, "validate", str(bad))
-    assert code == 2
-    assert "UNKNOWN_TOKEN" in err
+    assert code == 2 and out == ""
+    assert "UNKNOWN_TOKEN" in err and err.count("\n") == 1
 
 
 def test_missing_input_file(tmp_path, capsys):
@@ -94,6 +100,7 @@ def test_invariants(capsys):
 
 def test_rulings_listing(capsys):
     code, out, _ = run_cli(capsys, "rulings", str(CORPUS / "trefoil.front"), "--list")
+    assert code == 0
     data = json.loads(out)
     assert data["count"] == 3
     assert data["polynomial"] == "z^2 + 2"
@@ -156,6 +163,7 @@ def test_poly_all_evaluators_trefoil(capsys, which):
 
 def test_poly_two_variable(capsys):
     code, out, _ = run_cli(capsys, "poly", str(CORPUS / "unlink2.front"), "--which", "kauffman")
+    assert code == 0
     assert json.loads(out) == {"kauffman": "z^-1*a + 1 - z^-1*a^-1"}
 
 
@@ -171,6 +179,7 @@ def test_poly_trace(tmp_path, capsys):
         str(trace_path),
     )
     assert code == 0
+    assert json.loads(out) == {"B-leg": "z^2 + 2"}
     lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
     assert lines and all({"rule", "L", "M", "N1", "N2"} <= set(e) for e in lines)
 
@@ -209,6 +218,28 @@ def test_verify_oriented(capsys):
 def test_verify_corollaries(capsys):
     code, out, _ = run_cli(capsys, "verify", str(CORPUS), "--theorem", "corollaries")
     assert code == 0
+    report = json.loads(out)
+    assert report["all_agree"] is True
+    assert all(rec["ok"] is True for rec in report["fronts"].values())
+
+
+def test_verify_records_match_the_bruteforce_fixtures(capsys):
+    # every orientation's OR and Q, reused within its class of equal crossing
+    # signs, against the fixture's oriented polynomial, which comes from the
+    # direct ruling checker alone
+    code, out, _ = run_cli(capsys, "verify", str(CORPUS), "--theorem", "4.1")
+    assert code == 0
+    fronts = json.loads(out)["fronts"]
+    assert sorted(fronts) == sorted(name for name, _ in corpus_words())
+    checked = 0
+    for name, rec in fronts.items():
+        expected = expected_fixture(name)["orientations"]
+        assert sorted(o["choices"] for o in rec["oriented"]) == sorted(expected)
+        for o in rec["oriented"]:
+            want = expected[o["choices"]]["oriented_polynomial"]
+            assert o["OR"] == o["Q"] == want, (name, o)
+            checked += 1
+    assert checked == 48
 
 
 def test_verify_evaluates_each_polynomial_once(capsys, monkeypatch):
@@ -227,17 +258,17 @@ def test_verify_evaluates_each_polynomial_once(capsys, monkeypatch):
     )
     code, _, _ = run_cli(capsys, "verify", str(CORPUS))
     assert code == 0
-    counts = [components(word).n_components for _, word in corpus_words()]
-    assert 3 in counts
-    # one D per front; one H per pair of orientations that differ by a
-    # global reversal (2^(k-1) pairs for k components), and one oriented
-    # sweep per pair but the default one of a front with no negative
-    # crossing, whose OR is R
-    assert calls["D"] == len(counts)
-    assert calls["H"] == sum(2 ** (k - 1) for k in counts)
-    positive = [w for _, w in corpus_words() if -1 not in crossing_signs(orient(w))]
-    assert positive
-    assert calls["OR"] == calls["H"] - len(positive)
+    # one D per front; one H per class of orientations with equal crossing
+    # signs (the default's from sharpness, the others' from Q_of), and one
+    # oriented sweep per class with a negative sign: elsewhere OR is R
+    classes = [{crossing_signs(of) for of in all_orientations(w)} for _, w in corpus_words()]
+    assert calls["D"] == len(classes)
+    assert calls["H"] == sum(len(c) for c in classes)
+    assert calls["OR"] == sum(-1 in signs for c in classes for signs in c)
+    # split3 has fewer classes than reversal pairs, and some class is positive
+    pairs = [2 ** (components(w).n_components - 1) for _, w in corpus_words()]
+    assert calls["H"] < sum(pairs)
+    assert calls["OR"] < calls["H"]
 
 
 def test_verify_checks_every_orientation_of_three_components(capsys):
@@ -284,16 +315,17 @@ def test_verify_fails_when_the_rewrite_route_alone_is_off(capsys, monkeypatch):
 
 
 def test_verify_fails_when_one_orientation_alone_is_off(capsys, monkeypatch):
-    # the oriented sweep off by z on hopf's reversal pair (+, -) alone; the
-    # default order lists (-, -) last, so the verdict must read every pair
+    # Q off by z on hopf's class of (+, -) alone, which holds (-, +) too; its
+    # OR is R, with no sweep.  The default order lists (-, -) last, so the
+    # verdict must read every class
     hopf = parse_front("l1 l3 x2 x2 r1 r1")
-    sweep = check.oriented_ruling_polynomial
+    skein = check.Q_of
 
     def off(of):
         wrong = of.word == hopf and of.choices == (True, False)
-        return sweep(of) + LaurentPoly.monomial(1, c=int(wrong))
+        return skein(of) + LaurentPoly.monomial(1, c=int(wrong))
 
-    monkeypatch.setattr(check, "oriented_ruling_polynomial", off)
+    monkeypatch.setattr(check, "Q_of", off)
     code, out, _ = run_cli(capsys, "verify", str(CORPUS), "--theorem", "4.1")
     assert code == 1
     fronts = json.loads(out)["fronts"]

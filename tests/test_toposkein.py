@@ -31,7 +31,7 @@ from frontinv.front import (
     all_orientations,
     applicable_moves,
     apply_move,
-    invariants,
+    crossing_signs,
     orient,
     parse_front,
     stabilize,
@@ -272,42 +272,50 @@ def _check_triangle(words) -> int:
 def test_triangle_on_every_small_front():
     # every closed word of <= 7 letters on <= 6 strands, split unions
     # included: 4844 words and 19088 orientations.  check_front evaluates
-    # one orientation per reversal pair; test_global_reversal_invariance
-    # checks that the other one agrees on the same words.
+    # one orientation per class of equal crossing signs;
+    # test_global_reversal_invariance checks the others on the same words.
     assert _check_triangle(closed_words(7, 6)) == 19088
 
 
 @pytest.mark.slow
 def test_triangle_on_every_8_letter_front():
-    # the same census one letter longer (run with `pytest -m slow`),
-    # reversal pairs included
+    # the same census one letter longer (run with `pytest -m slow`), sign
+    # classes included
     words = closed_words(8, 6)
     assert _check_triangle(words) == 214294
-    assert _check_reversal_pairs(words) == 107147
+    assert _check_sign_classes(words) == 164734
 
 
-def _check_reversal_pairs(words) -> int:
-    pairs = 0
+def _check_sign_classes(words) -> int:
+    """H and the oriented sweep on every orientation equal their values on
+    its class's evaluated orientation, the first with choices[0] true and the
+    same crossing signs; the number of orientations that reuse another's."""
+    reused = 0
     for w in words:
-        for of in all_orientations(w):
-            if not of.choices[0]:
+        orientations = all_orientations(w)
+        evaluated = {}
+        for of in orientations:
+            signs = crossing_signs(of)
+            if of.choices[0] and signs not in evaluated:
+                evaluated[signs] = (
+                    of, homfly_H(from_oriented_front(of)), oriented_ruling_polynomial(of))
+        for of in orientations:
+            rep, H, OR = evaluated[crossing_signs(of)]
+            if of is rep:
                 continue
-            rev = orient(w, {cid: not c for cid, c in enumerate(of.choices, start=1)})
-            assert homfly_H(from_oriented_front(of)) == homfly_H(from_oriented_front(rev)), (
-                w.render(), of.choices)
-            assert oriented_ruling_polynomial(of) == oriented_ruling_polynomial(rev), (
-                w.render(), of.choices)
-            pairs += 1
-    return pairs
+            assert homfly_H(from_oriented_front(of)) == H, (w.render(), of.choices)
+            assert oriented_ruling_polynomial(of) == OR, (w.render(), of.choices)
+            reused += 1
+    return reused
 
 
 def test_global_reversal_invariance():
-    # `frontinv verify` evaluates H and the oriented sweep once per pair of
-    # orientations that differ by reversing every component; both must agree
-    # on the two.  Each pair is checked once, from its orientation with
-    # choices[0] true.
-    assert _check_reversal_pairs(closed_words(7, 6)) == 9544
-    assert _check_reversal_pairs(w for _, w in corpus_words()) > 0
+    # `frontinv verify` evaluates H and the oriented sweep once per class of
+    # orientations with equal crossing signs, which holds each global
+    # reversal pair and, on a split front, each reversal of whole split
+    # parts; every orientation must agree with its class's evaluated one.
+    assert _check_sign_classes(closed_words(7, 6)) == 14148
+    assert _check_sign_classes(w for _, w in corpus_words()) == 29
 
 
 def test_defining_relations_on_random_diagrams():
